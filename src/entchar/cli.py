@@ -57,6 +57,28 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _int_in(low: int, high: float = np.inf):
+    """argparse type: an int in [low, high], so bad values end as usage errors (exit 1)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if not low <= value <= high:
+            bound = f">= {low}" if high == np.inf else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    return parse
+
+
+_non_negative_int = _int_in(0)
+_positive_int = _int_in(1)
+# Shots per setting, bounded so that the five settings' total fits in int64.
+_shots = _int_in(0, np.iinfo(np.int64).max // len(measurement.DEFAULT_SETTINGS))
+
+
 def _parse_grid(text: str):
     try:
         n_p, n_sigma = (int(part) for part in text.lower().split("x"))
@@ -242,8 +264,8 @@ def build_parser() -> _Parser:
     sim.add_argument("--p", type=float)
     sim.add_argument("--sigma", type=float)
     sim.add_argument("--k", type=float)
-    sim.add_argument("--shots", type=int, required=True, help="shots per setting")
-    sim.add_argument("--seed", type=int, required=True)
+    sim.add_argument("--shots", type=_shots, required=True, help="shots per setting")
+    sim.add_argument("--seed", type=_non_negative_int, required=True)
     sim.add_argument("--out", required=True)
     sim.set_defaults(func=cmd_simulate)
 
@@ -252,8 +274,9 @@ def build_parser() -> _Parser:
         p.add_argument("--grid", default="600x600", help="NxM grid for the two-param prior")
         p.add_argument("--samples", type=int, default=100_000,
                        help="sample count for the bell-diag prior")
-        p.add_argument("--seed", type=int, default=0, help="seed for the bell-diag prior")
-        p.add_argument("--bins", type=int, default=default_bins)
+        p.add_argument("--seed", type=_non_negative_int, default=0,
+                       help="seed for the bell-diag prior")
+        p.add_argument("--bins", type=_positive_int, default=default_bins)
         p.add_argument("--out", required=True)
         p.add_argument("--format", choices=["doc", "csv"], default="doc")
 

@@ -16,8 +16,10 @@ Three models are compared on a five-setting correlation record:
   constraint p1 - p2 <= p1 + p2 - 2*p3 (coherence cannot exceed the
   mixing weight).  The constrained maximizer is still closed-form.
 
-Log-likelihoods share the no-multinomial-coefficient convention of the
-posterior module, so all score differences are convention-free.
+Both restricted models are scored at their fitted Bell weights by the
+posterior module's likelihood kernel, so the posterior and the model
+comparison share one likelihood and its no-multinomial-coefficient
+convention; all score differences are convention-free.
 """
 
 from dataclasses import dataclass
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from . import measurement
+from . import families, measurement, posterior
 from .errors import InvalidCountError
 from .measurement import FrequencyTable, MeasurementRecord
 
@@ -33,10 +35,8 @@ K_FULL = 11  # 6 local marginals + 5 correlators, as fixed by the published tabl
 K_BELL_DIAGONAL = 3
 K_TWO_PARAM = 2
 
-# Row indices of the default settings: XX, XY, YX, YY, ZZ.
-_XX, _XY, _YX, _YY, _ZZ = 0, 1, 2, 3, 4
-
-_LOG_QUARTER = np.log(0.25)
+# Row indices of XX, YY and ZZ in the default settings (XX, XY, YX, YY, ZZ).
+_XX, _YY, _ZZ = 0, 3, 4
 
 
 @dataclass
@@ -61,23 +61,9 @@ class ComparisonReport:
     closed_form: dict
 
 
-def _count_log(count: float, pred: float) -> float:
-    """count * log(pred) with 0*log(0) = 0 and -inf for impossible outcomes."""
-    if count == 0:
-        return 0.0
-    if pred <= 0.0:
-        return -np.inf
-    return float(count) * np.log(pred)
-
-
 def log_l_full_bound(freq: FrequencyTable, rec: MeasurementRecord) -> float:
     """Entropy bound on the maximum log-likelihood over all states."""
     return float(xlogy(rec.counts, freq.freqs).sum())
-
-
-def _same_diff_counts(rec: MeasurementRecord, row: int):
-    c = rec.counts[row]
-    return c[0] + c[3], c[1] + c[2]
 
 
 def fit_bell_diagonal(freq: FrequencyTable):
@@ -158,13 +144,7 @@ def _constrained_sums(s_xx: float, s_yy: float, s_zz: float):
 def log_l_bell_diagonal(freq: FrequencyTable, rec: MeasurementRecord) -> float:
     """Maximum log-likelihood over Bell-diagonal states."""
     p, _ = fit_bell_diagonal(freq)
-    sums = {_XX: p[0] + p[2], _YY: p[1] + p[2], _ZZ: p[0] + p[1]}
-    total = 0.0
-    for row, s in sums.items():
-        same, diff = _same_diff_counts(rec, row)
-        total += _count_log(same, s / 2.0) + _count_log(diff, (1.0 - s) / 2.0)
-    total += float(rec.counts[[_XY, _YX]].sum()) * _LOG_QUARTER
-    return total
+    return float(posterior.bell_log_likelihood(p[None, :], rec)[0])
 
 
 def fit_two_param(freq: FrequencyTable):
@@ -192,17 +172,7 @@ def fit_two_param(freq: FrequencyTable):
 def log_l_two_param(freq: FrequencyTable, rec: MeasurementRecord) -> float:
     """Maximum log-likelihood over the two-parameter family."""
     p, b, _ = fit_two_param(freq)
-    hi, lo = (1.0 + b) / 4.0, (1.0 - b) / 4.0
-    xx_same, xx_diff = _same_diff_counts(rec, _XX)
-    yy_same, yy_diff = _same_diff_counts(rec, _YY)
-    zz_same, zz_diff = _same_diff_counts(rec, _ZZ)
-    total = (
-        _count_log(xx_same, hi) + _count_log(xx_diff, lo)
-        + _count_log(yy_same, lo) + _count_log(yy_diff, hi)
-        + _count_log(zz_same, (1.0 + p) / 4.0) + _count_log(zz_diff, (1.0 - p) / 4.0)
-    )
-    total += float(rec.counts[[_XY, _YX]].sum()) * _LOG_QUARTER
-    return total
+    return float(posterior.bell_log_likelihood(families.two_param_bell_weights(p, b), rec)[0])
 
 
 def score(log_l: float, k: int, n_m: int, model_id: str = "") -> ModelScore:

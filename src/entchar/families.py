@@ -7,18 +7,21 @@ Two families back the priors used for Bayesian updating:
   Gaussian phase distribution of width sigma truncated to [-pi, pi];
 * Bell-diagonal states sum_i p_i |Phi_i><Phi_i|.
 
-Both admit exact expressions for their outcome probabilities, negativity
-and purity, which the test-set builders cache so that posterior updates
-never need per-state eigendecompositions.
+Both are Bell-diagonal, so every state is described by four Bell weights
+(``TestSet.bell_weights``).  On the five default settings those weights
+predict 1/4 for every XY and YX outcome, and split the XX, YY and ZZ
+outcomes by three same-outcome probabilities that are linear in the
+weights (``same_outcome_probabilities``).  Likelihoods and mean states
+are therefore computed from four numbers per state, and negativity and
+purity have closed forms that the test-set builders cache.
 """
 
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import erf, wofz
 
-from . import linalg, measurement
 from .errors import (
     IndexOutOfRangeError,
     InvalidGridSizeError,
@@ -57,21 +60,23 @@ def coherence_factor(sigma: float) -> float:
     """Off-diagonal damping factor c(sigma) of the phase-averaged Bell state.
 
     c(sigma) is the mean of cos(phi) under the normalized Gaussian phase
-    distribution exp(-phi^2/sigma^2) truncated to [-pi, pi].  Evaluated by
-    adaptive quadrature after substituting x = phi/sigma; sigma = 0 maps
-    to 1 by continuity.
+    distribution exp(-phi^2/sigma^2) truncated to [-pi, pi].  Completing
+    the square gives the closed form
+
+        c = exp(-sigma^2/4) * Re erf(pi/sigma + i*sigma/2) / erf(pi/sigma),
+
+    evaluated through the Faddeeva function w, as
+    Re[exp(-sigma^2/4) + exp(-pi^2/sigma^2) * w(-sigma/2 + i*pi/sigma)],
+    so that no factor overflows at large sigma.  sigma = 0 maps to 1 by
+    continuity.
     """
     if sigma < 0:
         raise OutOfDomainError(f"sigma must be >= 0, got {sigma}")
     if sigma == 0.0:
         return 1.0
-    # Beyond |x| = 8 the Gaussian tail contributes < 1e-27 of the mass.
-    upper = min(np.pi / sigma, 8.0)
-    num, _ = quad(lambda x: np.cos(sigma * x) * np.exp(-x * x), -upper, upper,
-                  epsabs=1e-14, epsrel=1e-13, limit=200)
-    den, _ = quad(lambda x: np.exp(-x * x), -upper, upper,
-                  epsabs=1e-14, epsrel=1e-13, limit=200)
-    return num / den
+    x = np.pi / sigma
+    num = np.exp(-sigma * sigma / 4.0) + np.exp(-x * x) * wofz(-sigma / 2.0 + 1j * x)
+    return float(num.real / erf(x))
 
 
 def _two_param_matrix(p: float, c: float) -> np.ndarray:
@@ -101,6 +106,18 @@ def two_param_state_from_coherence(p: float, c: float) -> np.ndarray:
 def two_param_negativity(p, c):
     """Analytic negativity of rho_{p,sigma}: 2 * max(0, p*c/2 - (1-p)/4)."""
     return 2.0 * np.maximum(0.0, np.asarray(p) * np.asarray(c) / 2.0 - (1.0 - np.asarray(p)) / 4.0)
+
+
+def two_param_bell_weights(p, b) -> np.ndarray:
+    """Bell weights (n, 4) of rho_{p,sigma} from p and b = p * c(sigma).
+
+    Written as the noise floor (1-p)/4 plus non-negative excess terms, so
+    every weight is >= 0 in floating point whenever 0 <= b <= p <= 1.
+    """
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    floor = (1.0 - p) / 4.0
+    return np.column_stack([floor + (p + b) / 2.0, floor + (p - b) / 2.0, floor, floor])
 
 
 def two_param_purity(p, c):
@@ -155,11 +172,26 @@ def reference_mixture(which: str) -> np.ndarray:
     return 0.53 * np.outer(psi, psi.conj()) + 0.47 * np.outer(phi, phi.conj())
 
 
+#: Same-outcome probability of the XX, YY and ZZ settings (columns) under
+#: each Bell projector |Phi_1>..|Phi_4| (rows); linear in the Bell weights.
+SAME_OUTCOME_MAP = np.array(
+    [
+        [1.0, 0.0, 1.0],
+        [0.0, 1.0, 1.0],
+        [1.0, 1.0, 0.0],
+        [0.0, 0.0, 0.0],
+    ]
+)
+
+
+def same_outcome_probabilities(weights) -> np.ndarray:
+    """XX, YY and ZZ same-outcome probabilities (n, 3) for rows of Bell weights."""
+    return np.clip(np.asarray(weights, dtype=float) @ SAME_OUTCOME_MAP, 0.0, 1.0)
+
+
 # --- test sets ---------------------------------------------------------------
 
 ENTANGLED_THRESHOLD = 1e-12
-
-_CHUNK = 100_000
 
 
 @dataclass
@@ -167,7 +199,9 @@ class TestSet:
     """Finite prior over candidate states with cached per-state scalars.
 
     ``params`` rows are (p, sigma, c) for the two-parameter family and
-    (p1, p2, p3, p4) for the Bell-diagonal family.
+    (p1, p2, p3, p4) for the Bell-diagonal family.  ``bell_weights`` holds
+    every state's four Bell weights, (n, 4): ``params`` itself for the
+    Bell-diagonal family, computed once from (p, p*c) otherwise.
     """
 
     model_id: str
@@ -175,7 +209,7 @@ class TestSet:
     negativities: np.ndarray
     purities: np.ndarray
     prior_weights: np.ndarray
-    _probs: np.ndarray | None = field(default=None, repr=False)
+    bell_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.params)
@@ -183,6 +217,11 @@ class TestSet:
             raise InvalidGridSizeError("test set must contain at least one state")
         if self.prior_weights.min() < 0 or abs(self.prior_weights.sum() - 1.0) > 1e-12:
             raise InvalidSimplexPointError("prior weights must be non-negative and sum to 1")
+        if self.model_id == MODEL_TWO_PARAM:
+            p, c = self.params[:, 0], self.params[:, 2]
+            self.bell_weights = two_param_bell_weights(p, p * c)
+        else:
+            self.bell_weights = self.params
 
     @property
     def n_states(self) -> int:
@@ -197,46 +236,6 @@ class TestSet:
             p, _, c = self.params[i]
             return _two_param_matrix(p, c)
         return bell_diagonal_state(self.params[i])
-
-    def matrices(self, idx) -> np.ndarray:
-        """Density matrices for the given index range, stacked (n, 4, 4)."""
-        prm = self.params[idx]
-        if self.model_id == MODEL_TWO_PARAM:
-            n = len(prm)
-            rho = np.zeros((n, 4, 4), dtype=complex)
-            p, c = prm[:, 0], prm[:, 2]
-            rho[:, 0, 0] = rho[:, 3, 3] = (1.0 + p) / 4.0
-            rho[:, 1, 1] = rho[:, 2, 2] = (1.0 - p) / 4.0
-            rho[:, 0, 3] = rho[:, 3, 0] = p * c / 2.0
-            return rho
-        return np.einsum("ni,ijk->njk", prm, _bell_projector_stack())
-
-    def outcome_probs(self) -> np.ndarray:
-        """Outcome probabilities (n_states, 20) for the five default settings.
-
-        Computed once and cached; Bell-diagonal sets use the exact linear
-        map from simplex weights to probabilities.
-        """
-        if self._probs is None:
-            ops = measurement.setting_operators().reshape(20, 4, 4)
-            ovec = ops.transpose(0, 2, 1).reshape(20, 16)
-            if self.model_id == MODEL_BELL_DIAGONAL:
-                bvec = _bell_projector_stack().reshape(4, 16)
-                mmap = (bvec @ ovec.T).real  # (4, 20)
-                probs = self.params @ mmap
-            else:
-                probs = np.empty((self.n_states, 20))
-                for lo in range(0, self.n_states, _CHUNK):
-                    sl = slice(lo, min(lo + _CHUNK, self.n_states))
-                    rvec = self.matrices(sl).reshape(-1, 16)
-                    probs[sl] = (rvec @ ovec.T).real
-            assert probs.min() > -1e-10
-            self._probs = np.clip(probs, 0.0, 1.0)
-        return self._probs
-
-
-def _bell_projector_stack() -> np.ndarray:
-    return np.stack([np.outer(v, v.conj()) for v in BELL_VECTORS])
 
 
 def grid_prior_two_param(n_p: int, n_sigma: int) -> TestSet:

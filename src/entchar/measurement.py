@@ -15,7 +15,9 @@ from .errors import (
     EmptySettingError,
     IndexOutOfRangeError,
     MissingSettingError,
+    NotPSDError,
     ParseFailureError,
+    TraceNotOneError,
 )
 
 #: (first-qubit axis, second-qubit axis) pairs of the default suite.
@@ -37,8 +39,9 @@ class MeasurementRecord:
 
     @property
     def n_total(self) -> int:
-        """Total number of shots across all settings."""
-        return int(self.counts.sum())
+        """Total number of shots across all settings, rounded to the nearest
+        integer so that expected-count records report their shot budget."""
+        return int(round(self.counts.sum()))
 
     @property
     def setting_totals(self) -> np.ndarray:
@@ -62,15 +65,6 @@ def spin_projector(axis: int, sign: int) -> np.ndarray:
     return (_I2 + sign * linalg.PAULIS[axis]) / 2.0
 
 
-def setting_operators(settings=DEFAULT_SETTINGS) -> np.ndarray:
-    """Projective POVM elements for each setting; shape (n_settings, 4, 4, 4)."""
-    ops = np.empty((len(settings), 4, 4, 4), dtype=complex)
-    for s, (a, b) in enumerate(settings):
-        for k, (sa, sb) in enumerate(OUTCOME_SIGNS):
-            ops[s, k] = np.kron(spin_projector(a, sa), spin_projector(b, sb))
-    return ops
-
-
 def outcome_probabilities(rho: np.ndarray, setting) -> np.ndarray:
     """Probabilities of the four (+/-,+/-) outcomes for one setting."""
     a, b = setting
@@ -78,8 +72,10 @@ def outcome_probabilities(rho: np.ndarray, setting) -> np.ndarray:
     for k, (sa, sb) in enumerate(OUTCOME_SIGNS):
         op = np.kron(spin_projector(a, sa), spin_projector(b, sb))
         probs[k] = np.real(np.trace(np.asarray(rho, dtype=complex) @ op))
-    assert probs.min() > -1e-10, f"negative outcome probability {probs.min():.3e}"
-    assert abs(probs.sum() - 1.0) < 1e-12, "outcome probabilities do not sum to 1"
+    if probs.min() <= -1e-10:
+        raise NotPSDError(f"negative outcome probability {probs.min():.3e}")
+    if abs(probs.sum() - 1.0) >= 1e-12:
+        raise TraceNotOneError(f"outcome probabilities sum to {probs.sum():.15g}, not 1")
     return np.clip(probs, 0.0, 1.0)
 
 
@@ -157,16 +153,31 @@ def record_to_dict(rec: MeasurementRecord) -> dict:
     }
 
 
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _count(value) -> int:
+    """A JSON outcome count as an int; integral floats such as 5.0 are accepted."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseFailureError(f"outcome count {value!r} is not an integer")
+    return value
+
+
 def record_from_dict(doc: dict) -> MeasurementRecord:
     try:
         settings = tuple((int(s["a"]), int(s["b"])) for s in doc["settings"])
-        counts = np.array([s["counts"] for s in doc["settings"]], dtype=np.int64)
+        rows = [[_count(c) for c in s["counts"]] for s in doc["settings"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseFailureError(f"malformed measurement record: {exc}") from exc
-    if counts.ndim != 2 or counts.shape[1] != 4 or len(settings) == 0:
+    if len(settings) == 0 or any(len(row) != 4 for row in rows):
         raise ParseFailureError("record must hold settings with 4 outcome counts each")
-    if counts.min() < 0:
+    if min(min(row) for row in rows) < 0:
         raise ParseFailureError("negative outcome count")
+    if sum(map(sum, rows)) > _INT64_MAX:
+        raise ParseFailureError(f"outcome counts sum past the int64 limit {_INT64_MAX}")
+    counts = np.array(rows, dtype=np.int64)
     return MeasurementRecord(settings=settings, counts=counts, meta=dict(doc.get("meta", {})))
 
 

@@ -1,5 +1,11 @@
 """Bayesian updating over a test set and posterior summaries.
 
+Every test state is Bell-diagonal, so its likelihood on the five default
+settings depends on the record only through the XX, YY and ZZ
+same/different-outcome counts and the XY + YX total (``bell_log_likelihood``),
+and the posterior mean state is the Bell-diagonal state of the mean weights.
+``log_likelihood`` is the generic per-state version for any density matrix.
+
 Log-likelihoods drop the multinomial coefficient: it is constant across
 states, cancels in the posterior normalization, and the model-comparison
 module uses the same convention so score differences are unaffected.
@@ -9,9 +15,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, measurement
-from .errors import AllStatesExcludedError, LengthMismatchError
+from . import families, linalg, measurement
+from .errors import AllStatesExcludedError, LengthMismatchError, OutOfDomainError
 from .families import TestSet
+
+#: Rows of the default settings with a Bell-diagonal same/different split
+#: (XX, YY, ZZ, in the column order of families.SAME_OUTCOME_MAP), and the
+#: rows where every Bell-diagonal state predicts 1/4 per outcome (XY, YX).
+_SPLIT_ROWS = [0, 3, 4]
+_QUARTER_ROWS = [1, 2]
+_LOG_2 = np.log(2.0)
+_LOG_QUARTER = np.log(0.25)
 
 
 @dataclass
@@ -54,15 +68,30 @@ def log_likelihood(rec: measurement.MeasurementRecord, rho: np.ndarray) -> float
     return total
 
 
+def bell_log_likelihood(weights, rec: measurement.MeasurementRecord) -> np.ndarray:
+    """Log-likelihood of a default-settings record under rows of Bell weights (n, 4).
+
+    Each state predicts s/2 for the two same outcomes and (1-s)/2 for the
+    two different outcomes of XX, YY and ZZ, and 1/4 for every XY and YX
+    outcome.  An observed zero-probability outcome gives -inf.
+    """
+    measurement.require_default_settings(rec)
+    split = rec.counts[_SPLIT_ROWS]
+    same = split[:, 0] + split[:, 3]
+    diff = split[:, 1] + split[:, 2]
+    s = families.same_outcome_probabilities(weights)
+    # Unobserved outcomes are left out, so that 0 * log(0) never arises.
+    seen_same, seen_diff = same > 0, diff > 0
+    with np.errstate(divide="ignore"):
+        ll = (np.log(s[:, seen_same]) @ same[seen_same]
+              + np.log1p(-s[:, seen_diff]) @ diff[seen_diff])
+    n_split, n_quarter = float(split.sum()), float(rec.counts[_QUARTER_ROWS].sum())
+    return ll - n_split * _LOG_2 + n_quarter * _LOG_QUARTER
+
+
 def log_likelihood_vector(ts: TestSet, rec: measurement.MeasurementRecord) -> np.ndarray:
     """Log-likelihood of the record under every state in the test set."""
-    measurement.require_default_settings(rec)
-    counts = rec.counts.reshape(-1).astype(float)
-    nz = counts > 0
-    probs = ts.outcome_probs()[:, nz]
-    logp = np.full_like(probs, -np.inf)
-    np.log(probs, out=logp, where=probs > 0)
-    return logp @ counts[nz]
+    return bell_log_likelihood(ts.bell_weights, rec)
 
 
 def update_posterior(
@@ -124,17 +153,18 @@ def histogram_negativity(ts: TestSet, weights: np.ndarray, n_bins: int) -> Histo
 def mean_state(ts: TestSet, post: Posterior) -> np.ndarray:
     """Posterior mean density matrix sum_i w_i rho_i.
 
-    Its negativity never exceeds the posterior mean negativity (the trace
-    norm is convex); checked here defensively.
+    Every state is Bell-diagonal, so this is the Bell-diagonal state of the
+    posterior mean Bell weights.  Its negativity never exceeds the posterior
+    mean negativity (the trace norm is convex); a violation means the cached
+    negativities do not describe the states, and raises OutOfDomainError.
     """
     w = post.weights
     if len(w) != ts.n_states:
         raise LengthMismatchError("posterior does not match the test set")
-    rho = np.zeros((4, 4), dtype=complex)
-    chunk = 100_000
-    for lo in range(0, ts.n_states, chunk):
-        sl = slice(lo, min(lo + chunk, ts.n_states))
-        rho += np.einsum("n,nij->ij", w[sl], ts.matrices(sl))
-    rho = linalg.validate_state(rho)
-    assert linalg.negativity(rho) <= float(w @ ts.negativities) + 1e-9
+    rho = families.bell_diagonal_state(w @ ts.bell_weights)
+    neg, bound = linalg.negativity(rho), float(w @ ts.negativities)
+    if neg > bound + 1e-9:
+        raise OutOfDomainError(
+            f"mean-state negativity {neg:.6g} exceeds the posterior mean negativity {bound:.6g}"
+        )
     return rho

@@ -43,16 +43,12 @@ class Checker:
 
 @pytest.fixture(scope="module")
 def grid600():
-    ts = families.grid_prior_two_param(600, 600)
-    ts.outcome_probs()
-    return ts
+    return families.grid_prior_two_param(600, 600)
 
 
 @pytest.fixture(scope="module")
 def bell_diag_1m():
-    ts = families.simplex_prior_bell_diagonal(1_000_000, seed=2026)
-    ts.outcome_probs()
-    return ts
+    return families.simplex_prior_bell_diagonal(1_000_000, seed=2026)
 
 
 def expected_record(rho, shots_per_setting):

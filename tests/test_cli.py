@@ -54,6 +54,15 @@ class TestSimulate:
     def test_usage_error(self):
         assert run(["simulate", "--bogus"]) == 1
 
+    @pytest.mark.parametrize("flag,value", [("--shots", "-5"), ("--seed", "-1")])
+    def test_negative_shots_or_seed(self, tmp_path, capsys, flag, value):
+        argv = {"--shots": "10", "--seed": "0", flag: value}
+        code = run(["simulate", "--state", "rho1", "--out", str(tmp_path / "x.json"),
+                    *[x for kv in argv.items() for x in kv]])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err and "Traceback" not in err
+
 
 class TestCharacterize:
     def test_result_document(self, tmp_path, record_path):
@@ -111,6 +120,30 @@ class TestCharacterize:
         code = run(["characterize", "--record", str(record_path), "--prior", "two-param",
                     "--grid", "banana", "--out", str(tmp_path / "x.json")])
         assert code == 1
+
+    def test_negative_prior_seed(self, tmp_path, record_path):
+        code = run(["characterize", "--record", str(record_path), "--prior", "bell-diag",
+                    "--samples", "100", "--seed", "-1", "--out", str(tmp_path / "x.json")])
+        assert code == 1
+
+    def test_zero_bins(self, tmp_path, record_path, capsys):
+        out = tmp_path / "x.json"
+        code = run(["characterize", "--record", str(record_path), "--prior", "two-param",
+                    "--grid", "10x10", "--bins", "0", "--out", str(out)])
+        assert code == 1
+        assert "argument --bins" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", [3.7, 10**30], ids=["fractional", "past_int64"])
+    def test_bad_count_is_data_error(self, tmp_path, count):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "settings": [{"a": a, "b": b, "counts": [count, 5, 5, 5]}
+                         for a, b in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3)]],
+            "meta": {},
+        }))
+        code = run(["compare", "--record", str(bad), "--out", str(tmp_path / "x.json")])
+        assert code == 2
 
     def test_corrupt_record(self, tmp_path):
         bad = tmp_path / "bad.json"

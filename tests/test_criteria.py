@@ -286,6 +286,14 @@ class TestExactFrequencyReference:
         assert report.winner_aic == "bell_diag"
         assert report.winner_bic == "bell_diag"
 
+    def test_rho1_reports_rounded_shot_total(self):
+        # The expected counts sum to 4999.999999999999; BIC must use ln 5000.
+        rec = exact_record(families.reference_mixture("rho1"), 1000)
+        report = criteria.compare(rec)
+        assert {s.n_m for s in report.scores.values()} == {5000}
+        full = report.scores["full"]
+        assert full.omega_bic == pytest.approx(full.log_l - 11 * np.log(5000) / 2, abs=1e-9)
+
     def test_rho2_strongly_disfavors_two_param(self):
         report = criteria.compare(exact_record(families.reference_mixture("rho2"), 1000))
         assert report.delta_omega < -100.0

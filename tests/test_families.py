@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from entchar import families, linalg, measurement
+from entchar import families, linalg, measurement, posterior
 from entchar.errors import (
     IndexOutOfRangeError,
     InvalidGridSizeError,
@@ -61,6 +61,11 @@ class TestCoherenceFactor:
         values = [families.coherence_factor(s) for s in np.linspace(0.01, np.pi, 100)]
         assert all(a > b for a, b in zip(values, values[1:]))
         assert 0.0 < values[-1] < 1.0
+
+    @pytest.mark.parametrize("sigma", [60.0, 1e3])
+    def test_wide_distribution_limit(self, sigma):
+        # Nearly uniform phases on [-pi, pi]: c -> 2 / sigma^2, with no overflow.
+        assert families.coherence_factor(sigma) == pytest.approx(2.0 / sigma**2, rel=1e-3)
 
     def test_negative_width_rejected(self):
         with pytest.raises(OutOfDomainError):
@@ -203,7 +208,9 @@ class TestSimplexPrior:
         np.testing.assert_allclose(ts.params.sum(axis=1), 1.0, atol=1e-12)
 
 
-class TestOutcomeProbs:
+class TestLikelihoodKernel:
+    """The Bell-weight likelihood kernel and mean state against per-state oracles."""
+
     @pytest.fixture(
         params=[
             lambda: families.grid_prior_two_param(5, 5),
@@ -212,23 +219,59 @@ class TestOutcomeProbs:
         ids=["two_param", "bell_diag"],
     )
     def test_set(self, request):
-        return request.param()
+        ts = request.param()
+        if ts.model_id == families.MODEL_TWO_PARAM:
+            return ts
+        # Append the four Bell vertices, which give probability 0 to some outcomes.
+        params = np.vstack([ts.params, np.eye(4)])
+        n = len(params)
+        return families.TestSet(
+            model_id=ts.model_id,
+            params=params,
+            negativities=np.atleast_1d(families.bell_diagonal_negativity(params)),
+            purities=(params**2).sum(axis=1),
+            prior_weights=np.full(n, 1.0 / n),
+        )
 
-    def test_matches_per_state_computation(self, test_set):
-        probs = test_set.outcome_probs()
-        for i in range(test_set.n_states):
-            direct = np.concatenate(
-                [
-                    measurement.outcome_probabilities(test_set.state(i), s)
-                    for s in measurement.DEFAULT_SETTINGS
-                ]
-            )
-            np.testing.assert_allclose(probs[i], direct, atol=1e-12)
+    @staticmethod
+    def impossible_record():
+        """One anti-correlated and one correlated outcome in each of XX, YY and ZZ,
+        which every Bell vertex (and every p = 1 grid state) gives probability 0."""
+        counts = np.array([[3, 1, 0, 2], [1, 1, 1, 1], [2, 0, 1, 1], [1, 2, 0, 4], [5, 0, 1, 0]])
+        return measurement.MeasurementRecord(settings=measurement.DEFAULT_SETTINGS, counts=counts)
 
-    def test_rows_are_distributions(self, test_set):
-        probs = test_set.outcome_probs().reshape(test_set.n_states, 5, 4)
-        assert probs.min() >= 0.0
-        np.testing.assert_allclose(probs.sum(axis=2), 1.0, atol=1e-12)
+    @pytest.fixture(params=["sampled", "impossible"])
+    def record(self, request):
+        if request.param == "sampled":
+            return measurement.simulate_record(families.reference_mixture("rho1"), 300, seed=2)
+        return self.impossible_record()
+
+    def test_log_likelihood_matches_per_state_oracle(self, test_set, record):
+        ll = posterior.log_likelihood_vector(test_set, record)
+        oracle = np.array([posterior.log_likelihood(record, test_set.state(i))
+                           for i in range(test_set.n_states)])
+        np.testing.assert_array_equal(np.isneginf(ll), np.isneginf(oracle))
+        finite = np.isfinite(oracle)
+        assert finite.any()
+        np.testing.assert_allclose(ll[finite], oracle[finite], rtol=0, atol=1e-9)
+
+    def test_bell_vertices_exclude_impossible_outcomes(self, test_set):
+        ll = posterior.log_likelihood_vector(test_set, self.impossible_record())
+        vertices = [i for i in range(test_set.n_states)
+                    if np.isclose(test_set.bell_weights[i].max(), 1.0, rtol=0, atol=1e-15)]
+        assert vertices
+        assert np.isneginf(ll[vertices]).all()
+
+    def test_same_outcome_probabilities_in_unit_interval(self, test_set):
+        s = families.same_outcome_probabilities(test_set.bell_weights)
+        assert s.shape == (test_set.n_states, 3)
+        assert s.min() >= 0.0 and s.max() <= 1.0
+
+    def test_mean_state_matches_explicit_sum(self, test_set):
+        w = np.random.default_rng(4).dirichlet(np.ones(test_set.n_states))
+        explicit = sum(wi * test_set.state(i) for i, wi in enumerate(w))
+        rho = posterior.mean_state(test_set, posterior.Posterior(weights=w, record=None))
+        np.testing.assert_allclose(rho, explicit, rtol=0, atol=1e-12)
 
 
 class TestSerialization:

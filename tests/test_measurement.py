@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from entchar import families, linalg, measurement
-from entchar.errors import EmptySettingError, IndexOutOfRangeError, ParseFailureError
+from entchar.errors import (
+    EmptySettingError,
+    IndexOutOfRangeError,
+    NotPSDError,
+    ParseFailureError,
+    TraceNotOneError,
+)
 
 IDENTITY4 = np.eye(4) / 4.0
 
@@ -68,6 +74,14 @@ class TestOutcomeProbabilities:
                 probs = measurement.outcome_probabilities(rho, setting)
                 assert probs.min() >= 0.0
                 assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_unphysical_matrices_raise_typed_errors(self):
+        # Typed errors, not asserts, so the checks survive `python -O`.
+        not_psd = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
+        with pytest.raises(NotPSDError):
+            measurement.outcome_probabilities(not_psd, (3, 3))
+        with pytest.raises(TraceNotOneError):
+            measurement.outcome_probabilities(0.5 * IDENTITY4, (3, 3))
 
 
 class TestSimulateRecord:
@@ -183,3 +197,21 @@ class TestRecordSerialization:
         bad.write_text(json.dumps({"settings": [{"a": 1, "b": 1, "counts": [1, 2, 3, -1]}]}))
         with pytest.raises(ParseFailureError):
             measurement.load_record(bad)
+
+    @pytest.mark.parametrize("count", [3.7, 10**30, True, "5"])
+    def test_rejects_non_count_values(self, count):
+        doc = {"settings": [{"a": 1, "b": 1, "counts": [1, 2, 3, count]}]}
+        with pytest.raises(ParseFailureError):
+            measurement.record_from_dict(doc)
+
+    def test_rejects_total_past_int64(self):
+        big = 2**62
+        doc = {"settings": [{"a": 1, "b": 1, "counts": [big, big, 0, 0]}]}
+        with pytest.raises(ParseFailureError):
+            measurement.record_from_dict(doc)
+
+    def test_accepts_integral_floats(self):
+        doc = {"settings": [{"a": 1, "b": 1, "counts": [1.0, 2, 3, 4.0]}]}
+        rec = measurement.record_from_dict(doc)
+        assert rec.counts.dtype == np.int64
+        assert rec.counts.tolist() == [[1, 2, 3, 4]]

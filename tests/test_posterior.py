@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from entchar import families, linalg, measurement, posterior
-from entchar.errors import AllStatesExcludedError, LengthMismatchError
+from entchar.errors import AllStatesExcludedError, LengthMismatchError, OutOfDomainError
 
 IDENTITY4 = np.eye(4) / 4.0
 
@@ -186,6 +186,14 @@ class TestMeanState:
         rho_bar = posterior.mean_state(ts, post)
         assert linalg.negativity(rho_bar) <= float(post.weights @ ts.negativities) + 1e-9
         linalg.validate_state(rho_bar)
+
+    def test_convexity_violation_raises(self):
+        # Cached negativities that understate the states' own break the bound.
+        ts = bell_diag_set([[1.0, 0.0, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25]])
+        ts.negativities = np.zeros(2)
+        post = posterior.Posterior(weights=np.array([0.5, 0.5]), record=None)
+        with pytest.raises(OutOfDomainError):
+            posterior.mean_state(ts, post)
 
     def test_length_mismatch(self):
         ts = bell_diag_set([[0.25, 0.25, 0.25, 0.25]])
