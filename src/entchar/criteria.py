@@ -10,14 +10,17 @@ Three models are compared on a five-setting correlation record:
 * "bell_diag": Bell-diagonal states (3 parameters).  These predict 1/4
   for every off-diagonal-setting outcome and symmetric splits within the
   XX, YY and ZZ settings, so the fit has a closed form whenever the
-  implied simplex weights are non-negative.
+  implied simplex weights are non-negative.  Otherwise the maximum lies on
+  a face of the simplex, where it is found exactly (``_face_maxima``).
 * "two_param": the white-noise + phase-noise family (2 parameters).  It
   is the Bell-diagonal family restricted to p3 = p4 with the additional
   constraint p1 - p2 <= p1 + p2 - 2*p3 (coherence cannot exceed the
   mixing weight).  The constrained maximizer is still closed-form.
 
-Both restricted models are scored at their fitted Bell weights by the
-posterior module's likelihood kernel, so the posterior and the model
+Both fits read the XX, YY and ZZ same/different-outcome counts
+(``measurement.same_different_counts``), so each setting weighs by its
+shots.  Both restricted models are scored at their fitted Bell weights by
+the posterior module's likelihood kernel, so the posterior and the model
 comparison share one likelihood and its no-multinomial-coefficient
 convention; all score differences are convention-free.
 """
@@ -34,10 +37,6 @@ from .measurement import FrequencyTable, MeasurementRecord
 K_FULL = 11  # 6 local marginals + 5 correlators, as fixed by the published table
 K_BELL_DIAGONAL = 3
 K_TWO_PARAM = 2
-
-# Row indices of XX, YY and ZZ in the default settings (XX, XY, YX, YY, ZZ).
-_XX, _YY, _ZZ = 0, 3, 4
-
 
 @dataclass
 class ModelScore:
@@ -67,18 +66,17 @@ def log_l_full_bound(freq: FrequencyTable, rec: MeasurementRecord) -> float:
 
 
 def fit_bell_diagonal(freq: FrequencyTable):
-    """Best-fitting Bell-diagonal weights.
+    """Maximum-likelihood Bell-diagonal weights.
 
     Returns (weights, closed_form).  The closed form inverts the observed
-    same-outcome sums of the XX, YY and ZZ settings; when it leaves the
-    simplex, a dense grid with local refinement maximizes the exact
-    per-setting likelihood instead and ``closed_form`` is False.
+    same-outcome fractions of the XX, YY and ZZ settings.  When it leaves
+    the simplex, the maximum lies on a face p_m = 0: ``_face_maxima`` finds
+    the maximum on each of the four faces, the likelihood picks the best,
+    and ``closed_form`` is False.  The likelihood is concave, so that face
+    maximum is the global one.
     """
-    measurement.require_default_settings(freq)
-    f = freq.freqs
-    s_xx = f[_XX, 0] + f[_XX, 3]
-    s_yy = f[_YY, 0] + f[_YY, 3]
-    s_zz = f[_ZZ, 0] + f[_ZZ, 3]
+    same, diff = measurement.same_different_counts(freq)
+    s_xx, s_yy, s_zz = same / (same + diff)
     p = np.array(
         [
             (s_xx - s_yy + s_zz) / 2.0,
@@ -90,89 +88,94 @@ def fit_bell_diagonal(freq: FrequencyTable):
     if p.min() >= -1e-12:
         p = np.clip(p, 0.0, None)
         return p / p.sum(), True
-    a, b, c = _constrained_sums(s_xx, s_yy, s_zz)
-    p = np.array(
-        [
-            (a - b + c) / 2.0,
-            (-a + b + c) / 2.0,
-            (a + b - c) / 2.0,
-            1.0 - (a + b + c) / 2.0,
-        ]
-    )
-    p = np.clip(p, 0.0, None)
-    return p / p.sum(), False
+    faces = _face_maxima(same, diff)
+    return faces[np.argmax(posterior.bell_log_likelihood(faces, freq))], False
 
 
-def _constrained_sums(s_xx: float, s_yy: float, s_zz: float):
-    """Maximize the per-setting likelihood over feasible same-outcome sums.
+_SAME = families.SAME_OUTCOME_MAP.astype(bool)
+#: _PARTNER[m, j] is the other Bell weight whose entry in column j of
+#: SAME_OUTCOME_MAP equals weight m's.  On the face p_m = 0, setting j's
+#: same-outcome probability is that weight, if the entry is 1, or one minus
+#: it, if the entry is 0; each remaining weight serves exactly one setting.
+_PARTNER = np.array(
+    [[next(i for i in range(4) if i != m and _SAME[i, j] == _SAME[m, j]) for j in range(3)]
+     for m in range(4)]
+)
 
-    Objective: sum over the three diagonal settings of
-    s*log(x/2) + (1-s)*log((1-x)/2), subject to the implied simplex
-    weights being non-negative.  Dense grid plus local refinement.
+
+def _face_maxima(same: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """Maximum-likelihood Bell weights on each face p_m = 0, as rows (4, 4).
+
+    On face m the likelihood is sum_j a_j log q_j + b_j log(1 - q_j) over
+    the three remaining weights q_j = p[_PARTNER[m, j]], subject to
+    sum_j q_j = 1.  Stationarity a/q - b/(1-q) = lam gives each q_j as a
+    decreasing function of the multiplier lam; lam is bisected until the
+    floating-point bracket stops shrinking.  At lam = -n every q_j >= 1 + b_j/lam,
+    so sum_j q_j >= 1, and at lam = n every q_j <= a_j/lam, so sum_j q_j <= 1.
     """
+    a = np.where(_SAME, same, diff)
+    b = np.where(_SAME, diff, same)
+    n = float(same.sum() + diff.sum())
+    lo, hi = np.full((4, 1), -n), np.full((4, 1), n)
+    while True:
+        lam = (lo + hi) / 2.0
+        q = _face_weights(lam, a, b)
+        if not ((lo < lam) & (lam < hi)).any():
+            break
+        above = q.sum(axis=1, keepdims=True) > 1.0
+        lo, hi = np.where(above, lam, lo), np.where(above, hi, lam)
+    weights = np.zeros((4, 4))
+    weights[np.arange(4)[:, None], _PARTNER] = q
+    return weights / weights.sum(axis=1, keepdims=True)
 
-    def objective(a, b, c):
-        val = (
-            xlogy(s_xx, a) + xlogy(1.0 - s_xx, 1.0 - a)
-            + xlogy(s_yy, b) + xlogy(1.0 - s_yy, 1.0 - b)
-            + xlogy(s_zz, c) + xlogy(1.0 - s_zz, 1.0 - c)
-        )
-        feasible = (
-            (a - b + c >= -1e-12)
-            & (-a + b + c >= -1e-12)
-            & (a + b - c >= -1e-12)
-            & (a + b + c <= 2.0 + 1e-12)
-        )
-        return np.where(feasible, val, -np.inf)
 
-    lo = np.zeros(3)
-    hi = np.ones(3)
-    best = np.full(3, 0.5)
-    for _ in range(4):
-        axes = [np.linspace(lo[i], hi[i], 41) for i in range(3)]
-        ag, bg, cg = np.meshgrid(*axes, indexing="ij")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = objective(ag, bg, cg)
-        idx = np.unravel_index(np.argmax(vals), vals.shape)
-        best = np.array([axes[0][idx[0]], axes[1][idx[1]], axes[2][idx[2]]])
-        step = (hi - lo) / 40.0
-        lo = np.maximum(0.0, best - step)
-        hi = np.minimum(1.0, best + step)
-    return tuple(best)
+def _face_weights(lam: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The root q in [0, 1] of a/q - b/(1-q) = lam, elementwise.
+
+    The two forms are the same root, each free of cancellation on its side
+    of lam + a + b = 0; every setting has shots, so lam < 0 on the second.
+    """
+    t = lam + a + b
+    root = np.sqrt((lam + b - a) ** 2 + 4.0 * a * b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(t > 0.0, 2.0 * a / (t + root), (t - root) / (2.0 * lam))
 
 
 def log_l_bell_diagonal(freq: FrequencyTable, rec: MeasurementRecord) -> float:
     """Maximum log-likelihood over Bell-diagonal states."""
-    p, _ = fit_bell_diagonal(freq)
-    return float(posterior.bell_log_likelihood(p[None, :], rec)[0])
+    return _log_l(fit_bell_diagonal(freq)[0], rec)
 
 
 def fit_two_param(freq: FrequencyTable):
-    """Best-fitting (p, p*c) of the two-parameter family.
+    """Maximum-likelihood (p, p*c) of the two-parameter family.
 
-    Returns (p, b, closed_form) with b = p * c(sigma).  The unconstrained
-    solution fits the ZZ same-outcome sum and the XX/YY asymmetry
-    independently; when it violates b <= p the maximizer lies on the
-    b = p face, which is itself closed-form.  ``closed_form`` is True for
-    the unconstrained case only.
+    Returns (p, b, closed_form) with b = p * c(sigma).  The model predicts
+    (1+p)/2 for the ZZ same outcomes, (1+b)/2 for the XX same and YY
+    different outcomes, and (1-b)/2 for the rest of XX and YY, so the
+    unconstrained fit sets p from the ZZ counts and b from the XX and YY
+    counts pooled.  When that violates b <= p, the maximizer lies on the
+    b = p face, which pools all three settings and is itself closed-form.
+    ``closed_form`` is True for the unconstrained case only.
     """
-    measurement.require_default_settings(freq)
-    f = freq.freqs
-    s_zz = f[_ZZ, 0] + f[_ZZ, 3]
-    # Outcomes predicted at (1+b)/4: XX same and YY different.
-    s1 = f[_XX, 0] + f[_XX, 3] + f[_YY, 1] + f[_YY, 2]
-    p_un = float(np.clip(2.0 * s_zz - 1.0, 0.0, 1.0))
-    b_un = float(np.clip(s1 - 1.0, 0.0, 1.0))
+    (s_xx, s_yy, s_zz), (d_xx, d_yy, d_zz) = measurement.same_different_counts(freq)
+    up, down = s_xx + d_yy, d_xx + s_yy
+    p_un = float(np.clip((s_zz - d_zz) / (s_zz + d_zz), 0.0, 1.0))
+    b_un = float(np.clip((up - down) / (up + down), 0.0, 1.0))
     if b_un <= p_un + 1e-15:
         return p_un, b_un, True
-    shared = float(np.clip((2.0 * (s_zz + s1) - 3.0) / 3.0, 0.0, 1.0))
+    up, down = up + s_zz, down + d_zz
+    shared = float(np.clip((up - down) / (up + down), 0.0, 1.0))
     return shared, shared, False
 
 
 def log_l_two_param(freq: FrequencyTable, rec: MeasurementRecord) -> float:
     """Maximum log-likelihood over the two-parameter family."""
     p, b, _ = fit_two_param(freq)
-    return float(posterior.bell_log_likelihood(families.two_param_bell_weights(p, b), rec)[0])
+    return _log_l(families.two_param_bell_weights(p, b), rec)
+
+
+def _log_l(weights, rec: MeasurementRecord) -> float:
+    return float(posterior.bell_log_likelihood(np.atleast_2d(weights), rec)[0])
 
 
 def score(log_l: float, k: int, n_m: int, model_id: str = "") -> ModelScore:
@@ -201,12 +204,13 @@ def compare(rec: MeasurementRecord) -> ComparisonReport:
     measurement.require_default_settings(rec)
     freq = measurement.frequencies(rec)
     n_m = rec.n_total
-    _, bd_closed = fit_bell_diagonal(freq)
-    _, _, tp_closed = fit_two_param(freq)
+    p_bd, bd_closed = fit_bell_diagonal(freq)
+    p_tp, b_tp, tp_closed = fit_two_param(freq)
+    l_tp = _log_l(families.two_param_bell_weights(p_tp, b_tp), rec)
     scores = {
         "full": score(log_l_full_bound(freq, rec), K_FULL, n_m, "full"),
-        "bell_diag": score(log_l_bell_diagonal(freq, rec), K_BELL_DIAGONAL, n_m, "bell_diag"),
-        "two_param": score(log_l_two_param(freq, rec), K_TWO_PARAM, n_m, "two_param"),
+        "bell_diag": score(_log_l(p_bd, rec), K_BELL_DIAGONAL, n_m, "bell_diag"),
+        "two_param": score(l_tp, K_TWO_PARAM, n_m, "two_param"),
     }
     return ComparisonReport(
         scores=scores,

@@ -16,7 +16,6 @@ are therefore computed from four numbers per state, and negativity and
 purity have closed forms that the test-set builders cache.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,6 @@ from .errors import (
     InvalidGridSizeError,
     InvalidSimplexPointError,
     OutOfDomainError,
-    ParseFailureError,
     UnknownStateFamilyError,
 )
 
@@ -139,10 +137,8 @@ def bell_diagonal_state(pvec) -> np.ndarray:
 
 
 def bell_diagonal_negativity(pvec):
-    """2 * max(0, max_i p_i - 1/2) for Bell-diagonal weights (rows of pvec)."""
-    pvec = np.atleast_2d(pvec)
-    out = 2.0 * np.maximum(0.0, pvec.max(axis=1) - 0.5)
-    return out if out.size > 1 else float(out[0])
+    """2 * max(0, max_i p_i - 1/2) for each row of Bell-diagonal weights, as (n,)."""
+    return 2.0 * np.maximum(0.0, np.atleast_2d(pvec).max(axis=1) - 0.5)
 
 
 def rho_k_state(k: float) -> np.ndarray:
@@ -272,55 +268,8 @@ def simplex_prior_bell_diagonal(n: int, seed: int) -> TestSet:
     return TestSet(
         model_id=MODEL_BELL_DIAGONAL,
         params=params,
-        negativities=np.atleast_1d(bell_diagonal_negativity(params)),
+        negativities=bell_diagonal_negativity(params),
         purities=(params**2).sum(axis=1),
         prior_weights=np.full(n, 1.0 / n),
     )
 
-
-def save_test_set(ts: TestSet, path) -> None:
-    """Write one JSON line per state: model id, parameters, cached scalars."""
-    with open(path, "w") as fh:
-        for prm, neg, pur, w in zip(ts.params, ts.negativities, ts.purities, ts.prior_weights):
-            fh.write(
-                json.dumps(
-                    {
-                        "model": ts.model_id,
-                        "params": list(prm),
-                        "negativity": neg,
-                        "purity": pur,
-                        "weight": w,
-                    }
-                )
-            )
-            fh.write("\n")
-
-
-def load_test_set(path) -> TestSet:
-    params, neg, pur, weights = [], [], [], []
-    model_ids = set()
-    try:
-        with open(path) as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                doc = json.loads(line)
-                model_ids.add(doc["model"])
-                params.append(doc["params"])
-                neg.append(doc["negativity"])
-                pur.append(doc["purity"])
-                weights.append(doc["weight"])
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
-        raise ParseFailureError(f"cannot read test set {path}: {exc}") from exc
-    if len(model_ids) != 1:
-        raise ParseFailureError(f"test set mixes model ids: {sorted(model_ids)}")
-    model_id = model_ids.pop()
-    if model_id not in (MODEL_TWO_PARAM, MODEL_BELL_DIAGONAL):
-        raise UnknownStateFamilyError(f"unknown model id {model_id!r}")
-    return TestSet(
-        model_id=model_id,
-        params=np.array(params),
-        negativities=np.array(neg),
-        purities=np.array(pur),
-        prior_weights=np.array(weights),
-    )

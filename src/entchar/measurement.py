@@ -54,6 +54,12 @@ class FrequencyTable:
 
     settings: tuple
     freqs: np.ndarray  # shape (n_settings, 4), rows sum to 1
+    totals: np.ndarray  # shape (n_settings,), shots per setting
+
+    @property
+    def counts(self) -> np.ndarray:
+        """The outcome counts, frequency times setting total."""
+        return self.freqs * self.totals[:, None]
 
 
 def spin_projector(axis: int, sign: int) -> np.ndarray:
@@ -105,7 +111,18 @@ def frequencies(rec: MeasurementRecord) -> FrequencyTable:
     if np.any(totals == 0):
         empty = [rec.settings[i] for i in np.flatnonzero(totals == 0)]
         raise EmptySettingError(f"settings with zero counts: {empty}")
-    return FrequencyTable(settings=rec.settings, freqs=rec.counts / totals[:, None])
+    return FrequencyTable(settings=rec.settings, freqs=rec.counts / totals[:, None], totals=totals)
+
+
+def same_different_counts(rec_or_freq):
+    """Same-outcome and different-outcome counts of XX, YY and ZZ, each (3,).
+
+    These, with the XY + YX total, are all a Bell-diagonal state's
+    likelihood reads of a default-settings record or frequency table.
+    """
+    require_default_settings(rec_or_freq)
+    split = rec_or_freq.counts[[0, 3, 4]]
+    return split[:, 0] + split[:, 3], split[:, 1] + split[:, 2]
 
 
 def _correlation(rho: np.ndarray, a: int, b: int) -> float:
@@ -156,21 +173,27 @@ def record_to_dict(rec: MeasurementRecord) -> dict:
 _INT64_MAX = np.iinfo(np.int64).max
 
 
-def _count(value) -> int:
-    """A JSON outcome count as an int; integral floats such as 5.0 are accepted."""
+def _integer(value, what: str) -> int:
+    """A JSON integer as an int; integral floats such as 5.0 are accepted."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseFailureError(f"outcome count {value!r} is not an integer")
+        raise ParseFailureError(f"{what} {value!r} is not an integer")
     return value
 
 
 def record_from_dict(doc: dict) -> MeasurementRecord:
     try:
-        settings = tuple((int(s["a"]), int(s["b"])) for s in doc["settings"])
-        rows = [[_count(c) for c in s["counts"]] for s in doc["settings"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        settings = tuple(
+            (_integer(s["a"], "setting axis"), _integer(s["b"], "setting axis"))
+            for s in doc["settings"]
+        )
+        rows = [[_integer(c, "outcome count") for c in s["counts"]] for s in doc["settings"]]
+        meta = doc.get("meta", {})
+    except (KeyError, TypeError) as exc:
         raise ParseFailureError(f"malformed measurement record: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ParseFailureError(f"record meta must be a JSON object, got {meta!r}")
     if len(settings) == 0 or any(len(row) != 4 for row in rows):
         raise ParseFailureError("record must hold settings with 4 outcome counts each")
     if min(min(row) for row in rows) < 0:
@@ -178,7 +201,7 @@ def record_from_dict(doc: dict) -> MeasurementRecord:
     if sum(map(sum, rows)) > _INT64_MAX:
         raise ParseFailureError(f"outcome counts sum past the int64 limit {_INT64_MAX}")
     counts = np.array(rows, dtype=np.int64)
-    return MeasurementRecord(settings=settings, counts=counts, meta=dict(doc.get("meta", {})))
+    return MeasurementRecord(settings=settings, counts=counts, meta=dict(meta))
 
 
 def save_record(rec: MeasurementRecord, path) -> None:

@@ -19,10 +19,8 @@ from . import families, linalg, measurement
 from .errors import AllStatesExcludedError, LengthMismatchError, OutOfDomainError
 from .families import TestSet
 
-#: Rows of the default settings with a Bell-diagonal same/different split
-#: (XX, YY, ZZ, in the column order of families.SAME_OUTCOME_MAP), and the
-#: rows where every Bell-diagonal state predicts 1/4 per outcome (XY, YX).
-_SPLIT_ROWS = [0, 3, 4]
+#: Rows of the default settings where every Bell-diagonal state predicts
+#: 1/4 per outcome (XY, YX).
 _QUARTER_ROWS = [1, 2]
 _LOG_2 = np.log(2.0)
 _LOG_QUARTER = np.log(0.25)
@@ -68,24 +66,22 @@ def log_likelihood(rec: measurement.MeasurementRecord, rho: np.ndarray) -> float
     return total
 
 
-def bell_log_likelihood(weights, rec: measurement.MeasurementRecord) -> np.ndarray:
+def bell_log_likelihood(weights, rec) -> np.ndarray:
     """Log-likelihood of a default-settings record under rows of Bell weights (n, 4).
 
     Each state predicts s/2 for the two same outcomes and (1-s)/2 for the
     two different outcomes of XX, YY and ZZ, and 1/4 for every XY and YX
-    outcome.  An observed zero-probability outcome gives -inf.
+    outcome.  An observed zero-probability outcome gives -inf.  ``rec`` is
+    a MeasurementRecord or a FrequencyTable.
     """
-    measurement.require_default_settings(rec)
-    split = rec.counts[_SPLIT_ROWS]
-    same = split[:, 0] + split[:, 3]
-    diff = split[:, 1] + split[:, 2]
+    same, diff = measurement.same_different_counts(rec)
     s = families.same_outcome_probabilities(weights)
     # Unobserved outcomes are left out, so that 0 * log(0) never arises.
     seen_same, seen_diff = same > 0, diff > 0
     with np.errstate(divide="ignore"):
         ll = (np.log(s[:, seen_same]) @ same[seen_same]
               + np.log1p(-s[:, seen_diff]) @ diff[seen_diff])
-    n_split, n_quarter = float(split.sum()), float(rec.counts[_QUARTER_ROWS].sum())
+    n_split, n_quarter = float(same.sum() + diff.sum()), float(rec.counts[_QUARTER_ROWS].sum())
     return ll - n_split * _LOG_2 + n_quarter * _LOG_QUARTER
 
 

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import xlogy
 
 from entchar import criteria, families, measurement, posterior
-from entchar.errors import InvalidCountError, MissingSettingError
+from entchar.errors import EmptySettingError, InvalidCountError, MissingSettingError
 
 LN = np.log
 
@@ -26,18 +26,72 @@ def make_record(counts):
 
 
 def two_param_log_l_oracle(rec, p, b):
-    """Likelihood of the two-parameter family at explicit (p, b = p*c)."""
+    """Likelihood of the two-parameter family at explicit (p, b = p*c).
+
+    p and b may be arrays; the result has their broadcast shape."""
+    p, b = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(b, dtype=float))
+    q = np.full_like(p, 0.25)
     probs = np.array(
         [
             [(1 + b) / 4, (1 - b) / 4, (1 - b) / 4, (1 + b) / 4],  # XX
-            [0.25, 0.25, 0.25, 0.25],                              # XY
-            [0.25, 0.25, 0.25, 0.25],                              # YX
+            [q, q, q, q],                                          # XY
+            [q, q, q, q],                                          # YX
             [(1 - b) / 4, (1 + b) / 4, (1 + b) / 4, (1 - b) / 4],  # YY
             [(1 + p) / 4, (1 - p) / 4, (1 - p) / 4, (1 + p) / 4],  # ZZ
         ]
     )
+    probs = np.moveaxis(probs, (0, 1), (-2, -1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return float(xlogy(rec.counts, probs).sum())
+        return xlogy(rec.counts, probs).sum(axis=(-2, -1))
+
+
+def fine_grid_max(rec):
+    """Largest oracle likelihood over a 401 x 401 grid of feasible (p, b)."""
+    pg, bg = np.meshgrid(np.linspace(0.0, 1.0, 401), np.linspace(0.0, 1.0, 401))
+    feasible = bg <= pg
+    return two_param_log_l_oracle(rec, pg[feasible], bg[feasible]).max()
+
+
+def bell_gradient(rec, p):
+    """dL/dp_i = sum_j M_ij (S_j / s_j - D_j / (1 - s_j)) at Bell weights p,
+    where M is SAME_OUTCOME_MAP and s = p @ M; a term with zero count is 0."""
+    split = rec.counts[[0, 3, 4]]
+    same, diff = split[:, 0] + split[:, 3], split[:, 1] + split[:, 2]
+    s = p @ families.SAME_OUTCOME_MAP
+    d_s = (np.divide(same, s, out=np.zeros(3), where=same > 0)
+           - np.divide(diff, 1.0 - s, out=np.zeros(3), where=diff > 0))
+    return families.SAME_OUTCOME_MAP @ d_s
+
+
+def fallback_records():
+    """Every record in this file whose Bell-diagonal fit leaves the closed form."""
+    records = {
+        "xx-same-yy-diff": make_record(
+            [[500, 0, 0, 500], [250] * 4, [250] * 4, [0, 500, 500, 0], [250] * 4]),
+        "unequal-totals": make_record(UNEQUAL_TOTALS_BD),
+    }
+    rho = families.bell_diagonal_state([0.9, 0.1, 0.0, 0.0])
+    for seed in range(30):
+        records[f"bd-60-shots-seed{seed}"] = measurement.simulate_record(rho, 60, seed=seed)
+    for seed in range(20):
+        records[f"rho1-seed{seed}"] = measurement.simulate_record(
+            families.reference_mixture("rho1"), 1000, seed=seed)
+    out = {}
+    for name, rec in records.items():
+        try:
+            freq = measurement.frequencies(rec)
+        except EmptySettingError:
+            continue
+        if not criteria.fit_bell_diagonal(freq)[1]:
+            out[name] = rec
+    return out
+
+
+#: XX: 100 shots, all same-outcome; YY: 10 000 shots, all different-outcome.
+UNEQUAL_TOTALS_BD = [[50, 0, 0, 50], [25] * 4, [25] * 4, [0, 5000, 5000, 0], [25] * 4]
+#: XX: 100 shots at (1+b)/2 = 0.9; YY: 10 000 shots at (1-b)/2 = 0.45; ZZ: 100 shots.
+UNEQUAL_TOTALS_TP = [[45, 5, 5, 45], [25] * 4, [25] * 4, [2250, 2750, 2750, 2250],
+                     [40, 10, 10, 40]]
 
 
 class TestFullBound:
@@ -67,6 +121,9 @@ class TestFullBound:
             assert posterior.log_likelihood(rec, rho) <= bound + 1e-9
 
 
+FALLBACK_RECORDS = fallback_records()
+
+
 class TestFitBellDiagonal:
     def test_recovers_exact_weights(self):
         truth = np.array([0.55, 0.2, 0.15, 0.1])
@@ -92,7 +149,7 @@ class TestFitBellDiagonal:
             rec = measurement.simulate_record(rho, 60, seed=seed)
             try:
                 freq = measurement.frequencies(rec)
-            except Exception:
+            except EmptySettingError:
                 continue
             p, closed = criteria.fit_bell_diagonal(freq)
             if closed:
@@ -106,6 +163,30 @@ class TestFitBellDiagonal:
                     rec, families.bell_diagonal_state(q)
                 )
         assert seen_fallback > 0
+
+    def test_unequal_setting_totals(self):
+        # YY's 10 000 different outcomes force p2 = p3 = 0; XX (100 same)
+        # and ZZ (50 same, 50 different) then share p1 = 150 / 200.
+        rec = make_record(UNEQUAL_TOTALS_BD)
+        freq = measurement.frequencies(rec)
+        p, closed = criteria.fit_bell_diagonal(freq)
+        assert not closed
+        np.testing.assert_allclose(p, [0.75, 0.0, 0.0, 0.25], rtol=0, atol=1e-12)
+        ll = criteria.log_l_bell_diagonal(freq, rec)
+        random_points = np.random.default_rng(3).dirichlet(np.ones(4), 200_000)
+        assert ll >= posterior.bell_log_likelihood(random_points, rec).max()
+
+    @pytest.mark.parametrize("rec", FALLBACK_RECORDS.values(), ids=FALLBACK_RECORDS.keys())
+    def test_fallback_satisfies_kkt(self, rec):
+        # At a maximum over the simplex the gradient is equal on every
+        # positive weight and no larger on a zero weight.
+        p, _ = criteria.fit_bell_diagonal(measurement.frequencies(rec))
+        grad = bell_gradient(rec, p)
+        tol = 1e-12 * rec.counts.sum()
+        positive = p > 0.0
+        assert grad[positive].max() - grad[positive].min() <= tol
+        if not positive.all():
+            assert grad[~positive].max() <= grad[positive].min() + tol
 
     def test_log_l_matches_state_likelihood(self):
         for seed in range(5):
@@ -141,21 +222,37 @@ class TestFitTwoParam:
         assert 0.0 <= p <= 1.0
 
     def test_against_brute_force_grid(self):
-        grid = np.linspace(0.0, 1.0, 201)
         for seed in range(8):
             rho = families.reference_mixture("rho1") if seed % 2 else families.rho_k_state(0.7)
             rec = measurement.simulate_record(rho, 300, seed=seed)
             freq = measurement.frequencies(rec)
             p, b, _ = criteria.fit_two_param(freq)
             ll = criteria.log_l_two_param(freq, rec)
-            best = max(
-                two_param_log_l_oracle(rec, pg, bg)
-                for pg in grid
-                for bg in grid
-                if bg <= pg
-            )
-            assert ll >= best - 1e-9
-            assert ll == pytest.approx(two_param_log_l_oracle(rec, p, b), abs=1e-9)
+            assert ll >= fine_grid_max(rec) - 1e-9
+            assert ll == pytest.approx(float(two_param_log_l_oracle(rec, p, b)), abs=1e-9)
+
+    def test_unequal_setting_totals_against_fine_grid(self):
+        # b pools XX and YY by shots: (90 + 5500 - 10 - 4500) / 10 100.
+        rec = make_record(UNEQUAL_TOTALS_TP)
+        freq = measurement.frequencies(rec)
+        p, b, closed = criteria.fit_two_param(freq)
+        assert closed
+        assert p == pytest.approx(0.6, abs=1e-12)
+        assert b == pytest.approx(1080 / 10100, abs=1e-12)
+        ll = criteria.log_l_two_param(freq, rec)
+        assert ll == pytest.approx(float(two_param_log_l_oracle(rec, p, b)), abs=1e-9)
+        assert ll >= fine_grid_max(rec) - 1e-9
+        assert criteria.compare(rec).winner_aic != "full"
+
+    def test_constraint_face_pools_all_settings(self):
+        # b > p unconstrained; on b = p the ZZ counts join the pooled XX/YY counts.
+        rec = make_record(
+            [[90, 10, 10, 90], [25] * 4, [25] * 4, [10, 90, 90, 10], [300, 200, 200, 300]])
+        freq = measurement.frequencies(rec)
+        p, b, closed = criteria.fit_two_param(freq)
+        assert not closed and p == b
+        assert p == pytest.approx((180 + 180 + 600 - 20 - 20 - 400) / 1400, abs=1e-12)
+        assert criteria.log_l_two_param(freq, rec) >= fine_grid_max(rec) - 1e-9
 
     def test_log_l_matches_state_likelihood(self):
         for seed in range(5):

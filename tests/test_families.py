@@ -7,7 +7,6 @@ from entchar.errors import (
     InvalidGridSizeError,
     InvalidSimplexPointError,
     OutOfDomainError,
-    ParseFailureError,
     UnknownStateFamilyError,
 )
 
@@ -228,7 +227,7 @@ class TestLikelihoodKernel:
         return families.TestSet(
             model_id=ts.model_id,
             params=params,
-            negativities=np.atleast_1d(families.bell_diagonal_negativity(params)),
+            negativities=families.bell_diagonal_negativity(params),
             purities=(params**2).sum(axis=1),
             prior_weights=np.full(n, 1.0 / n),
         )
@@ -273,24 +272,3 @@ class TestLikelihoodKernel:
         rho = posterior.mean_state(test_set, posterior.Posterior(weights=w, record=None))
         np.testing.assert_allclose(rho, explicit, rtol=0, atol=1e-12)
 
-
-class TestSerialization:
-    def test_roundtrip(self, tmp_path):
-        for ts in (
-            families.grid_prior_two_param(4, 3),
-            families.simplex_prior_bell_diagonal(17, seed=5),
-        ):
-            path = tmp_path / f"{ts.model_id}.jsonl"
-            families.save_test_set(ts, path)
-            loaded = families.load_test_set(path)
-            assert loaded.model_id == ts.model_id
-            assert np.array_equal(loaded.params, ts.params)
-            assert np.array_equal(loaded.negativities, ts.negativities)
-            assert np.array_equal(loaded.purities, ts.purities)
-            assert np.array_equal(loaded.prior_weights, ts.prior_weights)
-
-    def test_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text("not json\n")
-        with pytest.raises(ParseFailureError):
-            families.load_test_set(path)

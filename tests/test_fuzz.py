@@ -1,0 +1,80 @@
+"""Property tests: no record document, however malformed, ends in a traceback.
+
+``record_from_dict`` either returns a record or raises ParseFailureError,
+and ``entchar compare`` on any record file exits with 0, 1 or 2.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from entchar import cli, measurement  # noqa: E402
+from entchar.errors import ParseFailureError  # noqa: E402
+
+scalars = (
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70)
+    | st.floats() | st.text(max_size=4)
+)
+values = st.recursive(
+    scalars,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=12,
+)
+odd = st.sampled_from(
+    [None, True, 2.5, 1.0, float("inf"), float("nan"), -1, 2**70, "1", "x", [], {}]
+)
+axes = st.integers(0, 4) | odd
+counts = st.integers(0, 40) | st.integers(-3, -1) | st.integers(2**60, 2**64) | odd
+setting_docs = st.fixed_dictionaries(
+    {"a": axes, "b": axes, "counts": st.lists(counts, min_size=3, max_size=5) | odd}
+)
+loose_records = st.fixed_dictionaries(
+    {"settings": st.lists(setting_docs, max_size=6) | odd}, optional={"meta": values}
+)
+#: Five-setting records with small, often zero, or huge counts.
+default_records = st.tuples(
+    st.lists(st.lists(st.integers(0, 40) | st.just(0) | st.integers(2**40, 2**58),
+                      min_size=4, max_size=4),
+             min_size=5, max_size=5),
+    st.dictionaries(st.text(max_size=4), values, max_size=3),
+).map(lambda parts: {
+    "settings": [{"a": a, "b": b, "counts": row}
+                 for (a, b), row in zip(measurement.DEFAULT_SETTINGS, parts[0])],
+    "meta": parts[1],
+})
+documents = values | loose_records | default_records
+
+
+@given(documents)
+@settings(max_examples=300, deadline=None)
+def test_record_from_dict_returns_or_raises_parse_failure(doc):
+    try:
+        rec = measurement.record_from_dict(doc)
+    except ParseFailureError:
+        return
+    assert isinstance(rec, measurement.MeasurementRecord)
+    assert rec.counts.shape == (len(rec.settings), 4)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(documents)
+@settings(max_examples=300, deadline=None)
+def test_compare_exits_cleanly(workdir, doc):
+    record = workdir / "record.json"
+    record.write_text(json.dumps(doc))
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = cli.main(["compare", "--record", str(record), "--out", str(workdir / "out.json")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()

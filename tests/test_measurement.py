@@ -129,6 +129,21 @@ class TestFrequencies:
         np.testing.assert_allclose(freq.freqs[0], [0.25] * 4)
         np.testing.assert_allclose(freq.freqs[1], [0.5, 0.0, 0.0, 0.5])
         np.testing.assert_allclose(freq.freqs[2], [0.3, 0.2, 0.1, 0.4])
+        np.testing.assert_array_equal(freq.totals, [100, 100, 100, 40, 4])
+        np.testing.assert_allclose(freq.counts, rec.counts, rtol=1e-15)
+
+    def test_same_different_counts(self):
+        rec = measurement.MeasurementRecord(
+            settings=measurement.DEFAULT_SETTINGS,
+            counts=np.array([[30, 20, 10, 40], [9, 9, 9, 9], [9, 9, 9, 9],
+                             [1, 2, 3, 4], [5, 0, 7, 0]]),
+        )
+        same, diff = measurement.same_different_counts(rec)
+        np.testing.assert_array_equal(same, [70, 5, 5])
+        np.testing.assert_array_equal(diff, [30, 5, 7])
+        f_same, f_diff = measurement.same_different_counts(measurement.frequencies(rec))
+        np.testing.assert_allclose(f_same, same, rtol=1e-15)
+        np.testing.assert_allclose(f_diff, diff, rtol=1e-15)
 
     def test_empty_setting(self):
         rec = measurement.MeasurementRecord(
@@ -201,6 +216,18 @@ class TestRecordSerialization:
     @pytest.mark.parametrize("count", [3.7, 10**30, True, "5"])
     def test_rejects_non_count_values(self, count):
         doc = {"settings": [{"a": 1, "b": 1, "counts": [1, 2, 3, count]}]}
+        with pytest.raises(ParseFailureError):
+            measurement.record_from_dict(doc)
+
+    @pytest.mark.parametrize("axis", [2.5, float("inf"), True, "1"])
+    def test_rejects_non_integer_axes(self, axis):
+        doc = {"settings": [{"a": axis, "b": 1, "counts": [1, 2, 3, 4]}]}
+        with pytest.raises(ParseFailureError):
+            measurement.record_from_dict(doc)
+
+    @pytest.mark.parametrize("meta", [None, 5, "ab", [[1, 2]]])
+    def test_rejects_meta_that_is_not_an_object(self, meta):
+        doc = {"settings": [{"a": 1, "b": 1, "counts": [1, 2, 3, 4]}], "meta": meta}
         with pytest.raises(ParseFailureError):
             measurement.record_from_dict(doc)
 

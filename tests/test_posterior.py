@@ -21,7 +21,7 @@ def bell_diag_set(params, weights=None):
     return families.TestSet(
         model_id="bell_diag",
         params=params,
-        negativities=np.atleast_1d(families.bell_diagonal_negativity(params)),
+        negativities=families.bell_diagonal_negativity(params),
         purities=(params**2).sum(axis=1),
         prior_weights=np.asarray(weights, dtype=float),
     )
