@@ -272,7 +272,7 @@ def build_parser() -> _Parser:
     def add_prior_args(p, default_bins):
         p.add_argument("--prior", required=True, choices=["two-param", "bell-diag"])
         p.add_argument("--grid", default="600x600", help="NxM grid for the two-param prior")
-        p.add_argument("--samples", type=int, default=100_000,
+        p.add_argument("--samples", type=_positive_int, default=100_000,
                        help="sample count for the bell-diag prior")
         p.add_argument("--seed", type=_non_negative_int, default=0,
                        help="seed for the bell-diag prior")
@@ -307,6 +307,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except _CONFIG_ERRORS as exc:
         print(f"entchar: config error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy's message names the array's size and shape.
+        print(f"entchar: config error: {exc or 'out of memory'}", file=sys.stderr)
         return 1
     except _DATA_ERRORS as exc:
         print(f"entchar: data error: {exc}", file=sys.stderr)

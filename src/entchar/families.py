@@ -14,6 +14,15 @@ outcomes by three same-outcome probabilities that are linear in the
 weights (``same_outcome_probabilities``).  Likelihoods and mean states
 are therefore computed from four numbers per state, and negativity and
 purity have closed forms that the test-set builders cache.
+
+The builders store the Bell weights column-contiguously: an (n, 4) array
+that is the transpose view of a (4, n) buffer, so each weight
+``w[:, k]`` is one contiguous vector.  The per-state arithmetic (spacings,
+negativity, purity, same-outcome probabilities, log-likelihood) is
+written as elementwise operations on those columns, because numpy reduces
+along a short row axis, or gathers strided columns, several times slower
+than it streams a contiguous vector.  Every function still accepts any
+(n, 4) layout.
 """
 
 from dataclasses import dataclass, field
@@ -111,11 +120,12 @@ def two_param_bell_weights(p, b) -> np.ndarray:
 
     Written as the noise floor (1-p)/4 plus non-negative excess terms, so
     every weight is >= 0 in floating point whenever 0 <= b <= p <= 1.
+    Returned column-contiguous, as the transpose of a (4, n) buffer.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     floor = (1.0 - p) / 4.0
-    return np.column_stack([floor + (p + b) / 2.0, floor + (p - b) / 2.0, floor, floor])
+    return np.array([floor + (p + b) / 2.0, floor + (p - b) / 2.0, floor, floor]).T
 
 
 def two_param_purity(p, c):
@@ -138,7 +148,9 @@ def bell_diagonal_state(pvec) -> np.ndarray:
 
 def bell_diagonal_negativity(pvec):
     """2 * max(0, max_i p_i - 1/2) for each row of Bell-diagonal weights, as (n,)."""
-    return 2.0 * np.maximum(0.0, np.atleast_2d(pvec).max(axis=1) - 0.5)
+    w = np.atleast_2d(pvec)
+    top = np.maximum(np.maximum(w[:, 0], w[:, 1]), np.maximum(w[:, 2], w[:, 3]))
+    return 2.0 * np.maximum(0.0, top - 0.5)
 
 
 def rho_k_state(k: float) -> np.ndarray:
@@ -180,9 +192,21 @@ SAME_OUTCOME_MAP = np.array(
 )
 
 
+#: The two Bell weights that sum to each setting's same-outcome probability.
+_SAME_OUTCOME_PAIRS = [tuple(np.flatnonzero(col)) for col in SAME_OUTCOME_MAP.T]
+
+
 def same_outcome_probabilities(weights) -> np.ndarray:
-    """XX, YY and ZZ same-outcome probabilities (n, 3) for rows of Bell weights."""
-    return np.clip(np.asarray(weights, dtype=float) @ SAME_OUTCOME_MAP, 0.0, 1.0)
+    """XX, YY and ZZ same-outcome probabilities (n, 3) for rows of Bell weights.
+
+    Each is the sum of two weight columns, ``weights @ SAME_OUTCOME_MAP``
+    without its exact zero terms; returned column-contiguous.
+    """
+    w = np.asarray(weights, dtype=float)
+    s = np.empty((3, len(w)))
+    for row, (i, k) in zip(s, _SAME_OUTCOME_PAIRS):
+        np.add(w[:, i], w[:, k], out=row)
+    return np.clip(s, 0.0, 1.0, out=s).T
 
 
 # --- test sets ---------------------------------------------------------------
@@ -197,7 +221,10 @@ class TestSet:
     ``params`` rows are (p, sigma, c) for the two-parameter family and
     (p1, p2, p3, p4) for the Bell-diagonal family.  ``bell_weights`` holds
     every state's four Bell weights, (n, 4): ``params`` itself for the
-    Bell-diagonal family, computed once from (p, p*c) otherwise.
+    Bell-diagonal family, computed once from (p, p*c) otherwise.  Both
+    builders make it column-contiguous (the transpose view of a (4, n)
+    buffer), so the likelihood kernel streams each weight as one
+    contiguous vector; a row-major array gives the same results, slower.
     """
 
     model_id: str
@@ -258,18 +285,30 @@ def simplex_prior_bell_diagonal(n: int, seed: int) -> TestSet:
     """n Bell-diagonal weight vectors drawn uniformly on the 3-simplex.
 
     Uses sorted-uniform spacings, which are exactly uniform on the simplex;
-    deterministic for a given seed.
+    deterministic for a given seed.  Each row of three uniforms is sorted
+    by a min/max compare-exchange network on whole columns, and the four
+    spacings are written into a (4, n) buffer whose transpose is
+    ``params``; the values equal a row-wise ``np.sort`` and ``np.diff``.
     """
     if n < 1:
         raise InvalidGridSizeError(f"sample count must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
-    u = np.sort(rng.random((n, 3)), axis=1)
-    params = np.diff(u, axis=1, prepend=0.0, append=1.0)
+    u0, u1, u2 = np.ascontiguousarray(rng.random((n, 3)).T)
+    # Compare-exchange (0, 1), (1, 2), (0, 1) leaves a <= b <= c.
+    a, b = np.minimum(u0, u1), np.maximum(u0, u1)
+    b, c = np.minimum(b, u2), np.maximum(b, u2)
+    a, b = np.minimum(a, b), np.maximum(a, b)
+    w = np.empty((4, n))
+    w[0] = a
+    np.subtract(b, a, out=w[1])
+    np.subtract(c, b, out=w[2])
+    np.subtract(1.0, c, out=w[3])
+    params = w.T
     return TestSet(
         model_id=MODEL_BELL_DIAGONAL,
         params=params,
         negativities=bell_diagonal_negativity(params),
-        purities=(params**2).sum(axis=1),
+        purities=((w[0] ** 2 + w[1] ** 2) + w[2] ** 2) + w[3] ** 2,
         prior_weights=np.full(n, 1.0 / n),
     )
 

@@ -24,6 +24,8 @@ from .families import TestSet
 _QUARTER_ROWS = [1, 2]
 _LOG_2 = np.log(2.0)
 _LOG_QUARTER = np.log(0.25)
+#: Below this argument np.exp rounds to exactly 0.
+_EXP_UNDERFLOW = -746.0
 
 
 @dataclass
@@ -76,13 +78,19 @@ def bell_log_likelihood(weights, rec) -> np.ndarray:
     """
     same, diff = measurement.same_different_counts(rec)
     s = families.same_outcome_probabilities(weights)
-    # Unobserved outcomes are left out, so that 0 * log(0) never arises.
-    seen_same, seen_diff = same > 0, diff > 0
+    ll, term = np.zeros(len(s)), np.empty(len(s))
+    # Column by column; unobserved outcomes are left out, so that
+    # 0 * log(0) never arises.
     with np.errstate(divide="ignore"):
-        ll = (np.log(s[:, seen_same]) @ same[seen_same]
-              + np.log1p(-s[:, seen_diff]) @ diff[seen_diff])
+        for j in range(s.shape[1]):
+            if same[j] > 0:
+                ll += np.multiply(np.log(s[:, j], out=term), same[j], out=term)
+            if diff[j] > 0:
+                np.negative(s[:, j], out=term)
+                ll += np.multiply(np.log1p(term, out=term), diff[j], out=term)
     n_split, n_quarter = float(same.sum() + diff.sum()), float(rec.counts[_QUARTER_ROWS].sum())
-    return ll - n_split * _LOG_2 + n_quarter * _LOG_QUARTER
+    ll += n_quarter * _LOG_QUARTER - n_split * _LOG_2
+    return ll
 
 
 def log_likelihood_vector(ts: TestSet, rec: measurement.MeasurementRecord) -> np.ndarray:
@@ -98,7 +106,9 @@ def update_posterior(
     """Bayes update: weights proportional to prior * exp(log-likelihood).
 
     Normalized with a max-shifted exponential sum; summation order is
-    fixed, so results are deterministic across runs.
+    fixed, so results are deterministic across runs.  exp(x) is exactly 0
+    for x < -745.14, so the exponential is only evaluated above -746:
+    the weights are unchanged, and numpy's slow underflow path is skipped.
     """
     prior = ts.prior_weights if prior_weights is None else np.asarray(prior_weights)
     if len(prior) != ts.n_states:
@@ -107,11 +117,14 @@ def update_posterior(
     shift = ll.max()
     if not np.isfinite(shift):
         raise AllStatesExcludedError("every test state assigns zero probability to the record")
-    w = prior * np.exp(ll - shift)
+    ll -= shift
+    w = np.exp(ll, out=np.zeros_like(ll), where=ll > _EXP_UNDERFLOW)
+    w *= prior
     total = w.sum()
     if total <= 0.0:
         raise AllStatesExcludedError("posterior mass vanished after the update")
-    return Posterior(weights=w / total, record=rec)
+    w /= total
+    return Posterior(weights=w, record=rec)
 
 
 def summarize(ts: TestSet, post: Posterior) -> EstimateSummary:
@@ -141,8 +154,10 @@ def histogram_negativity(ts: TestSet, weights: np.ndarray, n_bins: int) -> Histo
     top = float(ts.negativities.max())
     if top <= 0.0:
         top = 1.0
-    edges = np.linspace(0.0, top, n_bins + 1)
-    mass, _ = np.histogram(ts.negativities[ent], bins=edges, weights=weights[ent])
+    # A bin count and range, rather than explicit edges, take numpy's
+    # uniform-bin path; the edges and bin assignment are the same.
+    mass, edges = np.histogram(ts.negativities[ent], bins=n_bins, range=(0.0, top),
+                               weights=weights[ent])
     return Histogram(bin_edges=edges, bin_mass=mass, separable_mass=separable_mass)
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from entchar import cli
+from entchar import cli, families
 
 
 def run(argv):
@@ -206,6 +206,29 @@ class TestPriorHist:
         assert len(hist["bin_edges"]) == 101
         # Half the simplex volume is separable, roughly.
         assert 0.4 < hist["separable_mass"] < 0.6
+
+
+    @pytest.mark.parametrize("value", ["0", "-3", "1.5", "many"])
+    def test_bad_samples_is_usage_error(self, tmp_path, capsys, value):
+        code = run(["prior-hist", "--prior", "bell-diag", "--samples", value,
+                    "--out", str(tmp_path / "x.json")])
+        assert code == 1
+        assert "argument --samples" in capsys.readouterr().err
+
+    def test_out_of_memory_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # The builder is replaced, so no huge array is ever requested.
+        def too_big(n, seed):
+            raise MemoryError(f"Unable to allocate 21.8 TiB for an array with shape ({n}, 3)")
+
+        monkeypatch.setattr(families, "simplex_prior_bell_diagonal", too_big)
+        out = tmp_path / "x.json"
+        code = run(["prior-hist", "--prior", "bell-diag", "--samples", "1000000000000",
+                    "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("entchar: config error: Unable to allocate 21.8 TiB")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestTopLevel:

@@ -206,6 +206,33 @@ class TestSimplexPrior:
         assert ts.params.min() >= 0.0
         np.testing.assert_allclose(ts.params.sum(axis=1), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 2, 100_000])
+    @pytest.mark.parametrize("seed", [0, 5, 2026])
+    def test_bit_identical_to_row_sort(self, n, seed):
+        # The row-wise formula: sort each row, take spacings, row max and
+        # row sum of squares.
+        u = np.sort(np.random.default_rng(seed).random((n, 3)), axis=1)
+        params = np.diff(u, axis=1, prepend=0.0, append=1.0)
+        negativities = 2.0 * np.maximum(0.0, params.max(axis=1) - 0.5)
+        purities = (params**2).sum(axis=1)
+        ts = families.simplex_prior_bell_diagonal(n, seed)
+        assert np.array_equal(ts.params, params)
+        assert np.array_equal(ts.negativities, negativities)
+        assert np.array_equal(ts.purities, purities)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: families.grid_prior_two_param(7, 9),
+     lambda: families.simplex_prior_bell_diagonal(50, seed=4)],
+    ids=["two_param", "bell_diag"],
+)
+def test_bell_weights_are_column_contiguous(build):
+    ts = build()
+    assert ts.bell_weights.shape == (ts.n_states, 4)
+    for k in range(4):
+        assert ts.bell_weights[:, k].flags["C_CONTIGUOUS"]
+
 
 class TestLikelihoodKernel:
     """The Bell-weight likelihood kernel and mean state against per-state oracles."""

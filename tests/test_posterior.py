@@ -89,6 +89,18 @@ class TestUpdatePosterior:
             posterior.update_posterior(ts, make_record([[1, 1, 1, 1]] * 5),
                                        prior_weights=np.array([0.5, 0.5]))
 
+    def test_exponential_is_exact_below_underflow(self):
+        # 1e5 shots per setting spread the shifted log-likelihoods far
+        # below -746, where exp is exactly 0 and is skipped.
+        ts = families.simplex_prior_bell_diagonal(10_000, seed=8)
+        rec = measurement.simulate_record(families.reference_mixture("rho2"), 100_000, seed=1)
+        ll = posterior.log_likelihood_vector(ts, rec)
+        shifted = ll - ll.max()
+        assert (shifted < -746.0).mean() > 0.5
+        expected = ts.prior_weights * np.exp(shifted)
+        expected = expected / expected.sum()
+        assert np.array_equal(posterior.update_posterior(ts, rec).weights, expected)
+
     def test_sequential_updates_match_joint(self):
         ts = families.grid_prior_two_param(15, 15)
         rho = families.two_param_state(0.6, 0.5)
@@ -162,6 +174,35 @@ class TestHistogram:
         # Negativities 1.0 and 0.5 with edges at 0, .25, .5, .75, 1; interior
         # bins are half-open on the right, so 0.5 lands in the third bin.
         np.testing.assert_allclose(hist.bin_mass, [0.0, 0.0, 0.4, 0.6], atol=1e-12)
+
+    def test_edge_ties_match_explicit_edges(self):
+        # Negativities placed exactly on every edge of 10 bins over (0, top],
+        # one ulp to either side of each inner edge, at top, and between edges.
+        n_bins, top = 10, 0.9
+        edges = np.linspace(0.0, top, n_bins + 1)
+        inner = edges[1:-1]
+        negs = np.concatenate([edges[1:], np.nextafter(inner, 0.0), np.nextafter(inner, 1.0),
+                               [top, 0.05, 0.33]])
+        p1 = 0.5 + negs / 2.0
+        params = np.column_stack([p1, 1.0 - p1, np.zeros_like(p1), np.zeros_like(p1)])
+        params = np.vstack([params, [[0.25, 0.25, 0.25, 0.25]]])
+        weights = np.random.default_rng(3).dirichlet(np.ones(len(params)))
+        ts = bell_diag_set(params, weights)
+        ts.negativities[:-1] = negs  # exactly on the edges, free of rounding in p1
+        ent = ts.entangled
+        hist = posterior.histogram_negativity(ts, weights, n_bins)
+        assert np.array_equal(hist.bin_edges, edges)
+        expected, _ = np.histogram(ts.negativities[ent], bins=edges, weights=weights[ent])
+        np.testing.assert_allclose(hist.bin_mass, expected, rtol=0, atol=1e-15)
+        # Same bin for every state: each state alone lands where np.histogram puts it.
+        for i in np.flatnonzero(ent):
+            one = np.zeros_like(weights)
+            one[i] = 1.0
+            got = posterior.histogram_negativity(ts, one, n_bins).bin_mass
+            want, _ = np.histogram(ts.negativities[ent], bins=edges, weights=one[ent])
+            assert np.array_equal(got, want)
+        prob_entangled = posterior.summarize(ts, posterior.Posterior(weights, None)).prob_entangled
+        assert hist.bin_mass.sum() == pytest.approx(prob_entangled, abs=1e-12)
 
     def test_length_mismatch(self):
         ts = bell_diag_set([[0.25, 0.25, 0.25, 0.25]])
