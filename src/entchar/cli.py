@@ -8,7 +8,9 @@ Subcommands::
     entchar prior-hist   --prior bell-diag --samples 1000000 --seed 1 --bins 100 --out hist.json
 
 All randomness flows from the single --seed value; result documents echo
-their configuration so a run can be replayed bit-exactly.
+their configuration so a run can be replayed bit-exactly with the same BLAS
+thread count (the posterior moments are BLAS dot products, whose last bit
+depends on how the sum is split across threads).
 """
 
 import argparse

@@ -26,6 +26,7 @@ than it streams a contiguous vector.  Every function still accepts any
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import erf, wofz
@@ -214,6 +215,13 @@ def same_outcome_probabilities(weights) -> np.ndarray:
 ENTANGLED_THRESHOLD = 1e-12
 
 
+def _state_index(mask: np.ndarray) -> np.ndarray:
+    """Positions of the True entries: int32 when every position fits, half
+    the memory of intp; ``take`` accepts either and gathers the same values."""
+    index = np.flatnonzero(mask)
+    return index.astype(np.int32) if len(mask) <= np.iinfo(np.int32).max else index
+
+
 @dataclass
 class TestSet:
     """Finite prior over candidate states with cached per-state scalars.
@@ -225,6 +233,13 @@ class TestSet:
     builders make it column-contiguous (the transpose view of a (4, n)
     buffer), so the likelihood kernel streams each weight as one
     contiguous vector; a row-major array gives the same results, slower.
+
+    ``entangled_index`` lists the states with negativity above
+    ``ENTANGLED_THRESHOLD``; ``separable_index`` lists the rest.  The
+    posterior sums gather through them with ``take``, which is several
+    times faster than a boolean mask on an irregular pattern and yields
+    the same array.  Both are computed on first use and cached, so
+    ``negativities`` must not be modified after that.
     """
 
     model_id: str
@@ -253,6 +268,14 @@ class TestSet:
     @property
     def entangled(self) -> np.ndarray:
         return self.negativities > ENTANGLED_THRESHOLD
+
+    @cached_property
+    def entangled_index(self) -> np.ndarray:
+        return _state_index(self.entangled)
+
+    @cached_property
+    def separable_index(self) -> np.ndarray:
+        return _state_index(~self.entangled)
 
     def state(self, i: int) -> np.ndarray:
         if self.model_id == MODEL_TWO_PARAM:

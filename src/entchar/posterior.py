@@ -9,14 +9,26 @@ and the posterior mean state is the Bell-diagonal state of the mean weights.
 Log-likelihoods drop the multinomial coefficient: it is constant across
 states, cancels in the posterior normalization, and the model-comparison
 module uses the same convention so score differences are unaffected.
+
+Subnormal rule: a state whose max-shifted log-likelihood is below
+log(tiny) = -708.40 gets an exponential of exactly 0 rather than a
+subnormal number, so its posterior weight is 0 instead of less than
+tiny = 2.2e-308 times its prior weight over the most likely state's.
+Every other weight is exactly prior * exp(shifted log-likelihood) / sum.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import families, linalg, measurement
-from .errors import AllStatesExcludedError, LengthMismatchError, OutOfDomainError
+from .errors import (
+    AllStatesExcludedError,
+    InvalidSimplexPointError,
+    LengthMismatchError,
+    OutOfDomainError,
+)
 from .families import TestSet
 
 #: Rows of the default settings where every Bell-diagonal state predicts
@@ -24,8 +36,8 @@ from .families import TestSet
 _QUARTER_ROWS = [1, 2]
 _LOG_2 = np.log(2.0)
 _LOG_QUARTER = np.log(0.25)
-#: Below this argument np.exp rounds to exactly 0.
-_EXP_UNDERFLOW = -746.0
+#: Below this argument np.exp returns a subnormal number (or 0).
+_LOG_TINY = np.log(np.finfo(float).tiny)
 
 
 @dataclass
@@ -106,19 +118,32 @@ def update_posterior(
     """Bayes update: weights proportional to prior * exp(log-likelihood).
 
     Normalized with a max-shifted exponential sum; summation order is
-    fixed, so results are deterministic across runs.  exp(x) is exactly 0
-    for x < -745.14, so the exponential is only evaluated above -746:
-    the weights are unchanged, and numpy's slow underflow path is skipped.
+    fixed, so results are deterministic across runs.  Shifted
+    log-likelihoods below log(tiny) count as an exponential of exactly 0
+    (the module's subnormal rule): they are clamped and zeroed before
+    ``np.exp`` and their weights zeroed after, so numpy runs its unmasked
+    loop and never its slow subnormal path.
+    An override ``prior_weights`` with a non-finite or negative entry
+    raises InvalidSimplexPointError; the test set's own prior is checked
+    when the test set is built.
     """
     prior = ts.prior_weights if prior_weights is None else np.asarray(prior_weights)
     if len(prior) != ts.n_states:
         raise LengthMismatchError("prior weights do not match the test set")
+    if prior_weights is not None and not (np.isfinite(prior).all() and prior.min() >= 0):
+        raise InvalidSimplexPointError("prior weights must be finite and non-negative")
     ll = log_likelihood_vector(ts, rec)
     shift = ll.max()
     if not np.isfinite(shift):
         raise AllStatesExcludedError("every test state assigns zero probability to the record")
     ll -= shift
-    w = np.exp(ll, out=np.zeros_like(ll), where=ll > _EXP_UNDERFLOW)
+    keep = ll >= _LOG_TINY
+    # The clamp comes first: it turns -inf into a finite value, so that
+    # zeroing by ``keep`` never forms -inf * 0 = nan.
+    np.maximum(ll, _LOG_TINY, out=ll)
+    ll *= keep
+    w = np.exp(ll, out=ll)
+    w *= keep
     w *= prior
     total = w.sum()
     if total <= 0.0:
@@ -128,7 +153,13 @@ def update_posterior(
 
 
 def summarize(ts: TestSet, post: Posterior) -> EstimateSummary:
-    """Posterior entanglement probability and negativity/purity moments."""
+    """Posterior entanglement probability and negativity/purity moments.
+
+    ``prob_entangled`` sums the weights gathered through the test set's
+    cached entangled index; every field is a Python float.  The moments
+    are BLAS dot products, so their last bit can depend on the BLAS
+    thread count.
+    """
     w = post.weights
     if len(w) != ts.n_states:
         raise LengthMismatchError("posterior does not match the test set")
@@ -137,27 +168,31 @@ def summarize(ts: TestSet, post: Posterior) -> EstimateSummary:
     pur_mean = float(w @ ts.purities)
     pur_var = max(0.0, float(w @ ts.purities**2) - pur_mean**2)
     return EstimateSummary(
-        prob_entangled=float(w[ts.entangled].sum()),
+        prob_entangled=float(w.take(ts.entangled_index).sum()),
         neg_mean=neg_mean,
-        neg_std=np.sqrt(neg_var),
+        neg_std=math.sqrt(neg_var),
         pur_mean=pur_mean,
-        pur_std=np.sqrt(pur_var),
+        pur_std=math.sqrt(pur_var),
     )
 
 
 def histogram_negativity(ts: TestSet, weights: np.ndarray, n_bins: int) -> Histogram:
-    """Histogram of negativity under the given weights (prior or posterior)."""
+    """Histogram of negativity under the given weights (prior or posterior).
+
+    Entangled and separable states are gathered through the test set's
+    cached indices; the masses equal those of boolean-mask selections.
+    """
     if len(weights) != ts.n_states:
         raise LengthMismatchError("weights do not match the test set")
-    ent = ts.entangled
-    separable_mass = float(weights[~ent].sum())
+    ent = ts.entangled_index
+    separable_mass = float(weights.take(ts.separable_index).sum())
     top = float(ts.negativities.max())
     if top <= 0.0:
         top = 1.0
     # A bin count and range, rather than explicit edges, take numpy's
     # uniform-bin path; the edges and bin assignment are the same.
-    mass, edges = np.histogram(ts.negativities[ent], bins=n_bins, range=(0.0, top),
-                               weights=weights[ent])
+    mass, edges = np.histogram(ts.negativities.take(ent), bins=n_bins, range=(0.0, top),
+                               weights=weights.take(ent))
     return Histogram(bin_edges=edges, bin_mass=mass, separable_mass=separable_mass)
 
 

@@ -1,12 +1,15 @@
 """Property tests: no record document, however malformed, ends in a traceback.
 
 ``record_from_dict`` either returns a record or raises ParseFailureError,
-and ``entchar compare`` on any record file exits with 0, 1 or 2.
+and ``entchar compare`` and ``entchar characterize`` (on small priors) on
+any record file exit with 0, 1 or 2.  A characterization that succeeds
+has finite masses that sum to 1.
 """
 
 import contextlib
 import io
 import json
+import math
 
 import pytest
 
@@ -49,6 +52,22 @@ default_records = st.tuples(
                  for (a, b), row in zip(measurement.DEFAULT_SETTINGS, parts[0])],
     "meta": parts[1],
 })
+
+
+def _impossible_record(rows) -> dict:
+    """A five-setting record whose XX, YY and ZZ rows put all counts on the
+    two same or the two different outcomes (a zero row when k = 0).  The
+    grid's p = 1, sigma = 0 Bell state cannot produce some of these, so its
+    log-likelihood is -inf."""
+    xx, yy, zz = ([k, 0, 0, k] if same else [0, k, k, 0] for same, k in rows)
+    counts = [xx, [1, 1, 1, 1], [1, 1, 1, 1], yy, zz]
+    return {"settings": [{"a": a, "b": b, "counts": row}
+                         for (a, b), row in zip(measurement.DEFAULT_SETTINGS, counts)]}
+
+
+impossible_records = st.lists(
+    st.tuples(st.booleans(), st.integers(0, 10**6)), min_size=3, max_size=3
+).map(_impossible_record)
 documents = values | loose_records | default_records
 
 
@@ -78,3 +97,33 @@ def test_compare_exits_cleanly(workdir, doc):
         code = cli.main(["compare", "--record", str(record), "--out", str(workdir / "out.json")])
     assert code in (0, 1, 2)
     assert "Traceback" not in stderr.getvalue()
+
+
+#: Small priors: at most 2000 Bell-diagonal samples or a 20x20 grid.
+small_priors = (
+    st.tuples(st.integers(1, 2000), st.integers(0, 3)).map(
+        lambda a: ["--prior", "bell-diag", "--samples", str(a[0]), "--seed", str(a[1])])
+    | st.tuples(st.integers(2, 20), st.integers(2, 20)).map(
+        lambda a: ["--prior", "two-param", "--grid", f"{a[0]}x{a[1]}"])
+)
+
+
+@given(default_records | impossible_records | loose_records, small_priors)
+@settings(max_examples=200, deadline=None)
+def test_characterize_exits_cleanly(workdir, doc, prior_args):
+    record, out = workdir / "record.json", workdir / "out.json"
+    record.write_text(json.dumps(doc))
+    out.unlink(missing_ok=True)
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = cli.main(["characterize", "--record", str(record), *prior_args,
+                         "--bins", "7", "--out", str(out)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()
+    if code == 0:
+        result = json.loads(out.read_text())
+        prob_entangled = result["summary"]["prob_entangled"]
+        separable_mass = result["histogram"]["separable_mass"]
+        masses = [prob_entangled, separable_mass, *result["histogram"]["bin_mass"]]
+        assert all(math.isfinite(m) for m in masses)
+        assert abs(prob_entangled + separable_mass - 1.0) <= 1e-9

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from entchar import families, linalg, measurement, posterior
-from entchar.errors import AllStatesExcludedError, LengthMismatchError, OutOfDomainError
+from entchar.errors import (
+    AllStatesExcludedError,
+    InvalidSimplexPointError,
+    LengthMismatchError,
+    OutOfDomainError,
+)
 
 IDENTITY4 = np.eye(4) / 4.0
 
@@ -76,6 +81,15 @@ class TestUpdatePosterior:
         post = posterior.update_posterior(ts, rec, prior_weights=np.array([0.9, 0.1]))
         np.testing.assert_allclose(post.weights, [0.9, 0.1], atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-3])
+    def test_prior_weights_override_must_be_finite_and_non_negative(self, bad):
+        ts = families.simplex_prior_bell_diagonal(1000, seed=2)
+        rec = measurement.simulate_record(families.two_param_state(0.4, 0.4), 400, seed=1)
+        prior = ts.prior_weights.copy()
+        prior[17] = bad
+        with pytest.raises(InvalidSimplexPointError):
+            posterior.update_posterior(ts, rec, prior_weights=prior)
+
     def test_all_states_excluded(self):
         counts = np.zeros((5, 4), dtype=int)
         counts[0, 1] = 1
@@ -91,13 +105,17 @@ class TestUpdatePosterior:
 
     def test_exponential_is_exact_below_underflow(self):
         # 1e5 shots per setting spread the shifted log-likelihoods far
-        # below -746, where exp is exactly 0 and is skipped.
+        # below -746, where exp is exactly 0.  States between -745.14 and
+        # log(tiny) would get a subnormal exponential; the update counts it
+        # as 0, and every other weight is prior * exp / sum exactly.
         ts = families.simplex_prior_bell_diagonal(10_000, seed=8)
         rec = measurement.simulate_record(families.reference_mixture("rho2"), 100_000, seed=1)
         ll = posterior.log_likelihood_vector(ts, rec)
         shifted = ll - ll.max()
+        log_tiny = np.log(np.finfo(float).tiny)
         assert (shifted < -746.0).mean() > 0.5
-        expected = ts.prior_weights * np.exp(shifted)
+        assert ((shifted < log_tiny) & (np.exp(shifted) > 0.0)).sum() >= 2
+        expected = ts.prior_weights * np.where(shifted >= log_tiny, np.exp(shifted), 0.0)
         expected = expected / expected.sum()
         assert np.array_equal(posterior.update_posterior(ts, rec).weights, expected)
 
@@ -146,10 +164,52 @@ class TestSummarize:
         assert s.neg_mean == 0.0
         assert s.neg_std == 0.0
 
+    def test_fields_are_plain_floats(self):
+        ts = families.grid_prior_two_param(12, 12)
+        rec = measurement.simulate_record(families.two_param_state(0.4, 0.4), 400, seed=2)
+        s = posterior.summarize(ts, posterior.update_posterior(ts, rec))
+        for name in ("prob_entangled", "neg_mean", "neg_std", "pur_mean", "pur_std"):
+            assert type(getattr(s, name)) is float, name
+
     def test_length_mismatch(self):
         ts = bell_diag_set([[0.25, 0.25, 0.25, 0.25]])
         with pytest.raises(LengthMismatchError):
             posterior.summarize(ts, posterior.Posterior(weights=np.ones(3) / 3, record=None))
+
+
+@pytest.fixture(scope="module", params=["bell_diag_1e5", "grid_60x60"])
+def prior_set(request):
+    if request.param == "bell_diag_1e5":
+        return families.simplex_prior_bell_diagonal(100_000, seed=4)
+    return families.grid_prior_two_param(60, 60)
+
+
+class TestEntangledIndex:
+    """The index-gathered sums equal the boolean-mask formulas exactly."""
+
+    def test_indices_partition_the_states(self, prior_set):
+        ent, sep = prior_set.entangled_index, prior_set.separable_index
+        assert np.array_equal(ent, np.flatnonzero(prior_set.entangled))
+        assert np.array_equal(np.sort(np.concatenate([ent, sep])),
+                              np.arange(prior_set.n_states))
+        assert prior_set.entangled_index is ent  # cached, not recomputed
+
+    @pytest.mark.parametrize("shots", [400, 10_000])
+    @pytest.mark.parametrize("source", ["two_param", "rho1"])
+    def test_masses_equal_boolean_mask_sums(self, prior_set, shots, source):
+        rho = (families.two_param_state(0.4, 0.4) if source == "two_param"
+               else families.reference_mixture("rho1"))
+        rec = measurement.simulate_record(rho, shots, seed=5)
+        post = posterior.update_posterior(prior_set, rec)
+        w, ent, neg = post.weights, prior_set.entangled, prior_set.negativities
+        n_bins, top = 50, float(neg.max())
+        summary = posterior.summarize(prior_set, post)
+        hist = posterior.histogram_negativity(prior_set, w, n_bins)
+        assert summary.prob_entangled == float(w[ent].sum())
+        assert hist.separable_mass == float(w[~ent].sum())
+        mass, edges = np.histogram(neg[ent], bins=n_bins, range=(0.0, top), weights=w[ent])
+        assert np.array_equal(hist.bin_mass, mass)
+        assert np.array_equal(hist.bin_edges, edges)
 
 
 class TestHistogram:
