@@ -1,80 +1,8 @@
-"""Characterize a two-qubit entanglement source from finite measurement records."""
+"""Characterize a two-qubit entanglement source from finite measurement records.
 
-from .criteria import ComparisonReport, ModelScore, compare, score
-from .families import (
-    TestSet,
-    bell_diagonal_state,
-    bell_state,
-    coherence_factor,
-    grid_prior_two_param,
-    reference_mixture,
-    rho_k_state,
-    simplex_prior_bell_diagonal,
-    two_param_state,
-)
-from .linalg import (
-    eig_hermitian,
-    expectation,
-    negativity,
-    partial_transpose,
-    purity,
-    validate_state,
-)
-from .measurement import (
-    MeasurementRecord,
-    chsh_values,
-    chsh_violated,
-    frequencies,
-    outcome_probabilities,
-    simulate_record,
-    spin_projector,
-)
-from .posterior import (
-    EstimateSummary,
-    Histogram,
-    Posterior,
-    histogram_negativity,
-    log_likelihood,
-    mean_state,
-    summarize,
-    update_posterior,
-)
+Every name is reached through its module, as ``entchar.posterior.update_posterior``.
+"""
+
+from . import criteria, families, linalg, measurement, posterior
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ComparisonReport",
-    "EstimateSummary",
-    "Histogram",
-    "MeasurementRecord",
-    "ModelScore",
-    "Posterior",
-    "TestSet",
-    "bell_diagonal_state",
-    "bell_state",
-    "chsh_values",
-    "chsh_violated",
-    "coherence_factor",
-    "compare",
-    "eig_hermitian",
-    "expectation",
-    "frequencies",
-    "grid_prior_two_param",
-    "histogram_negativity",
-    "log_likelihood",
-    "mean_state",
-    "negativity",
-    "outcome_probabilities",
-    "partial_transpose",
-    "purity",
-    "reference_mixture",
-    "rho_k_state",
-    "score",
-    "simplex_prior_bell_diagonal",
-    "simulate_record",
-    "spin_projector",
-    "summarize",
-    "two_param_state",
-    "update_posterior",
-    "validate_state",
-]

@@ -21,34 +21,7 @@ import time
 import numpy as np
 
 from . import __version__, criteria, families, linalg, measurement, posterior
-from .errors import (
-    AllStatesExcludedError,
-    EmptySettingError,
-    EntcharError,
-    IndexOutOfRangeError,
-    InvalidCountError,
-    InvalidGridSizeError,
-    InvalidSimplexPointError,
-    MissingSettingError,
-    OutOfDomainError,
-    ParseFailureError,
-    UnknownStateFamilyError,
-)
-
-_CONFIG_ERRORS = (
-    OutOfDomainError,
-    UnknownStateFamilyError,
-    InvalidGridSizeError,
-    InvalidCountError,
-    IndexOutOfRangeError,
-    InvalidSimplexPointError,
-)
-_DATA_ERRORS = (
-    ParseFailureError,
-    MissingSettingError,
-    EmptySettingError,
-    AllStatesExcludedError,
-)
+from .errors import ConfigError, EntcharError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,7 +58,7 @@ def _parse_grid(text: str):
     try:
         n_p, n_sigma = (int(part) for part in text.lower().split("x"))
     except ValueError:
-        raise InvalidGridSizeError(f"grid must look like 600x600, got {text!r}") from None
+        raise ConfigError(f"grid must look like 600x600, got {text!r}") from None
     return n_p, n_sigma
 
 
@@ -93,15 +66,15 @@ def _build_state(args):
     family = args.state
     if family == "two-param":
         if args.p is None or args.sigma is None:
-            raise OutOfDomainError("--state two-param requires --p and --sigma")
+            raise ConfigError("--state two-param requires --p and --sigma")
         return families.two_param_state(args.p, args.sigma), f"two-param p={args.p} sigma={args.sigma}"
     if family == "rho-k":
         if args.k is None:
-            raise OutOfDomainError("--state rho-k requires --k")
+            raise ConfigError("--state rho-k requires --k")
         return families.rho_k_state(args.k), f"rho-k k={args.k}"
     if family in ("rho1", "rho2"):
         return families.reference_mixture(family), family
-    raise UnknownStateFamilyError(f"unknown state family {family!r}")
+    raise ConfigError(f"unknown state family {family!r}")
 
 
 def _build_prior(args) -> families.TestSet:
@@ -110,7 +83,7 @@ def _build_prior(args) -> families.TestSet:
         return families.grid_prior_two_param(n_p, n_sigma)
     if args.prior == "bell-diag":
         return families.simplex_prior_bell_diagonal(args.samples, args.seed)
-    raise UnknownStateFamilyError(f"unknown prior {args.prior!r}")
+    raise ConfigError(f"unknown prior {args.prior!r}")
 
 
 def _prior_config(args) -> dict:
@@ -307,21 +280,18 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _CONFIG_ERRORS as exc:
+    except ConfigError as exc:
         print(f"entchar: config error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
         # numpy's message names the array's size and shape.
         print(f"entchar: config error: {exc or 'out of memory'}", file=sys.stderr)
         return 1
-    except _DATA_ERRORS as exc:
+    except EntcharError as exc:
         print(f"entchar: data error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"entchar: i/o error: {exc}", file=sys.stderr)
-        return 2
-    except EntcharError as exc:
-        print(f"entchar: error: {exc}", file=sys.stderr)
         return 2
 
 

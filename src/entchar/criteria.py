@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from . import families, measurement, posterior
-from .errors import InvalidCountError
+from .errors import ConfigError
 from .measurement import FrequencyTable, MeasurementRecord
 
 K_FULL = 11  # 6 local marginals + 5 correlators, as fixed by the published table
@@ -113,8 +113,9 @@ def _face_maxima(same: np.ndarray, diff: np.ndarray) -> np.ndarray:
     floating-point bracket stops shrinking.  At lam = -n every q_j >= 1 + b_j/lam,
     so sum_j q_j >= 1, and at lam = n every q_j <= a_j/lam, so sum_j q_j <= 1.
     """
-    a = np.where(_SAME, same, diff)
-    b = np.where(_SAME, diff, same)
+    # Float once, not per bisection step: integer counts are cast on every use.
+    a = np.where(_SAME, same, diff).astype(float)
+    b = np.where(_SAME, diff, same).astype(float)
     n = float(same.sum() + diff.sum())
     lo, hi = np.full((4, 1), -n), np.full((4, 1), n)
     while True:
@@ -141,11 +142,6 @@ def _face_weights(lam: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.where(t > 0.0, 2.0 * a / (t + root), (t - root) / (2.0 * lam))
 
 
-def log_l_bell_diagonal(freq: FrequencyTable, rec: MeasurementRecord) -> float:
-    """Maximum log-likelihood over Bell-diagonal states."""
-    return _log_l(fit_bell_diagonal(freq)[0], rec)
-
-
 def fit_two_param(freq: FrequencyTable):
     """Maximum-likelihood (p, p*c) of the two-parameter family.
 
@@ -168,12 +164,6 @@ def fit_two_param(freq: FrequencyTable):
     return shared, shared, False
 
 
-def log_l_two_param(freq: FrequencyTable, rec: MeasurementRecord) -> float:
-    """Maximum log-likelihood over the two-parameter family."""
-    p, b, _ = fit_two_param(freq)
-    return _log_l(families.two_param_bell_weights(p, b), rec)
-
-
 def _log_l(weights, rec: MeasurementRecord) -> float:
     return float(posterior.bell_log_likelihood(np.atleast_2d(weights), rec)[0])
 
@@ -181,9 +171,9 @@ def _log_l(weights, rec: MeasurementRecord) -> float:
 def score(log_l: float, k: int, n_m: int, model_id: str = "") -> ModelScore:
     """AIC and BIC scores: log L - k and log L - k*ln(N_m)/2."""
     if n_m < 1:
-        raise InvalidCountError(f"total shot count must be >= 1, got {n_m}")
+        raise ConfigError(f"total shot count must be >= 1, got {n_m}")
     if k < 0:
-        raise InvalidCountError(f"parameter count must be >= 0, got {k}")
+        raise ConfigError(f"parameter count must be >= 0, got {k}")
     return ModelScore(
         model_id=model_id,
         log_l=float(log_l),

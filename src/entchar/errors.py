@@ -1,61 +1,27 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every error the package raises on purpose is one of two kinds:
+
+* ``ConfigError``: an argument the caller chose is out of range or
+  inconsistent (a state parameter, a grid size, an index, a count, a
+  weight vector, a matrix that is not a density matrix).  Choosing
+  another value fixes it.  The CLI exits with code 1.
+* ``DataError``: the measurement record, or its fit to the test set, is
+  unusable (it cannot be parsed, lacks a default setting, has a setting
+  without shots, or every test state excludes it).  Only other data fixes
+  it.  The CLI exits with code 2.
+
+The message says which argument or which part of the record is at fault.
+"""
 
 
 class EntcharError(Exception):
     """Base class for all entchar errors."""
 
 
-class NotHermitianError(EntcharError):
-    pass
+class ConfigError(EntcharError):
+    """An argument the caller chose is out of range or inconsistent."""
 
 
-class TraceNotOneError(EntcharError):
-    pass
-
-
-class NotPSDError(EntcharError):
-    pass
-
-
-class IndexOutOfRangeError(EntcharError):
-    pass
-
-
-class OutOfDomainError(EntcharError):
-    pass
-
-
-class InvalidSimplexPointError(EntcharError):
-    pass
-
-
-class InvalidGridSizeError(EntcharError):
-    pass
-
-
-class EmptySettingError(EntcharError):
-    pass
-
-
-class AllStatesExcludedError(EntcharError):
-    """Every test state assigns zero probability to the observed record."""
-
-
-class LengthMismatchError(EntcharError):
-    pass
-
-
-class InvalidCountError(EntcharError):
-    pass
-
-
-class UnknownStateFamilyError(EntcharError):
-    pass
-
-
-class ParseFailureError(EntcharError):
-    pass
-
-
-class MissingSettingError(EntcharError):
-    pass
+class DataError(EntcharError):
+    """The measurement record, or its fit to the test set, is unusable."""

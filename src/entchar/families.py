@@ -31,13 +31,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import erf, wofz
 
-from .errors import (
-    IndexOutOfRangeError,
-    InvalidGridSizeError,
-    InvalidSimplexPointError,
-    OutOfDomainError,
-    UnknownStateFamilyError,
-)
+from .errors import ConfigError
 
 MODEL_TWO_PARAM = "two_param"
 MODEL_BELL_DIAGONAL = "bell_diag"
@@ -59,7 +53,7 @@ BELL_VECTORS = np.array(
 def bell_state(i: int) -> np.ndarray:
     """Projector onto |Phi_i>, i in 1..4."""
     if i not in (1, 2, 3, 4):
-        raise IndexOutOfRangeError(f"Bell state index must be 1..4, got {i}")
+        raise ConfigError(f"Bell state index must be 1..4, got {i}")
     v = BELL_VECTORS[i - 1]
     return np.outer(v, v.conj())
 
@@ -75,14 +69,17 @@ def coherence_factor(sigma: float) -> float:
 
     evaluated through the Faddeeva function w, as
     Re[exp(-sigma^2/4) + exp(-pi^2/sigma^2) * w(-sigma/2 + i*pi/sigma)],
-    so that no factor overflows at large sigma.  sigma = 0 maps to 1 by
-    continuity.
+    so that no factor overflows at large sigma.  Where pi/sigma overflows
+    (sigma = 0 and sigma below 1.75e-308) c takes its limit 1.
     """
+    sigma = float(sigma)
+    if not np.isfinite(sigma):
+        raise ConfigError(f"sigma must be finite, got {sigma}")
     if sigma < 0:
-        raise OutOfDomainError(f"sigma must be >= 0, got {sigma}")
-    if sigma == 0.0:
+        raise ConfigError(f"sigma must be >= 0, got {sigma}")
+    x = np.pi / sigma if sigma > 0.0 else np.inf
+    if x == np.inf:
         return 1.0
-    x = np.pi / sigma
     num = np.exp(-sigma * sigma / 4.0) + np.exp(-x * x) * wofz(-sigma / 2.0 + 1j * x)
     return float(num.real / erf(x))
 
@@ -98,17 +95,8 @@ def _two_param_matrix(p: float, c: float) -> np.ndarray:
 def two_param_state(p: float, sigma: float) -> np.ndarray:
     """rho_{p,sigma}: phase-noisy Bell state mixed with white noise."""
     if not 0.0 <= p <= 1.0:
-        raise OutOfDomainError(f"p must be in [0, 1], got {p}")
+        raise ConfigError(f"p must be in [0, 1], got {p}")
     return _two_param_matrix(p, coherence_factor(sigma))
-
-
-def two_param_state_from_coherence(p: float, c: float) -> np.ndarray:
-    """rho_{p,sigma} parameterized directly by the coherence factor c."""
-    if not 0.0 <= p <= 1.0:
-        raise OutOfDomainError(f"p must be in [0, 1], got {p}")
-    if not 0.0 <= c <= 1.0:
-        raise OutOfDomainError(f"c must be in [0, 1], got {c}")
-    return _two_param_matrix(p, c)
 
 
 def two_param_negativity(p, c):
@@ -140,7 +128,7 @@ def bell_diagonal_state(pvec) -> np.ndarray:
     """Mixture of the four Bell projectors with weights pvec."""
     pvec = np.asarray(pvec, dtype=float)
     if pvec.shape != (4,) or pvec.min() < 0 or abs(pvec.sum() - 1.0) > 1e-12:
-        raise InvalidSimplexPointError(f"weights must be a point on the 3-simplex, got {pvec}")
+        raise ConfigError(f"weights must be a point on the 3-simplex, got {pvec}")
     rho = np.zeros((4, 4), dtype=complex)
     for w, v in zip(pvec, BELL_VECTORS):
         rho += w * np.outer(v, v.conj())
@@ -160,7 +148,7 @@ def rho_k_state(k: float) -> np.ndarray:
     Purity is 0.4375 for every k in (0, 1].
     """
     if not 0.0 < k <= 1.0:
-        raise OutOfDomainError(f"k must be in (0, 1], got {k}")
+        raise ConfigError(f"k must be in (0, 1], got {k}")
     v = np.array([1.0, 0.0, 0.0, k], dtype=complex) / np.sqrt(1.0 + k * k)
     return 0.5 * np.outer(v, v.conj()) + 0.125 * np.eye(4, dtype=complex)
 
@@ -173,7 +161,7 @@ def reference_mixture(which: str) -> np.ndarray:
     """
     amps = {"rho1": 0.9, "rho2": 0.5}
     if which not in amps:
-        raise UnknownStateFamilyError(f"unknown mixture {which!r}; expected 'rho1' or 'rho2'")
+        raise ConfigError(f"unknown mixture {which!r}; expected 'rho1' or 'rho2'")
     a = amps[which]
     norm = np.sqrt(1.0 + a * a)
     psi = np.array([1.0, 0.0, 0.0, a], dtype=complex) / norm
@@ -252,9 +240,9 @@ class TestSet:
     def __post_init__(self):
         n = len(self.params)
         if n < 1:
-            raise InvalidGridSizeError("test set must contain at least one state")
+            raise ConfigError("test set must contain at least one state")
         if self.prior_weights.min() < 0 or abs(self.prior_weights.sum() - 1.0) > 1e-12:
-            raise InvalidSimplexPointError("prior weights must be non-negative and sum to 1")
+            raise ConfigError("prior weights must be non-negative and sum to 1")
         if self.model_id == MODEL_TWO_PARAM:
             p, c = self.params[:, 0], self.params[:, 2]
             self.bell_weights = two_param_bell_weights(p, p * c)
@@ -287,7 +275,7 @@ class TestSet:
 def grid_prior_two_param(n_p: int, n_sigma: int) -> TestSet:
     """Uniform (p, sigma) grid over [0,1] x [0,pi], both endpoints included."""
     if n_p < 2 or n_sigma < 2:
-        raise InvalidGridSizeError(f"grid must be at least 2x2, got {n_p}x{n_sigma}")
+        raise ConfigError(f"grid must be at least 2x2, got {n_p}x{n_sigma}")
     p_axis = np.linspace(0.0, 1.0, n_p)
     s_axis = np.linspace(0.0, np.pi, n_sigma)
     c_axis = np.array([coherence_factor(s) for s in s_axis])
@@ -314,7 +302,7 @@ def simplex_prior_bell_diagonal(n: int, seed: int) -> TestSet:
     ``params``; the values equal a row-wise ``np.sort`` and ``np.diff``.
     """
     if n < 1:
-        raise InvalidGridSizeError(f"sample count must be >= 1, got {n}")
+        raise ConfigError(f"sample count must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     u0, u1, u2 = np.ascontiguousarray(rng.random((n, 3)).T)
     # Compare-exchange (0, 1), (1, 2), (0, 1) leaves a <= b <= c.

@@ -14,7 +14,7 @@ N(rho_{0.4,0.4}) = 0.0843.
 
 import numpy as np
 
-from .errors import NotHermitianError, NotPSDError, TraceNotOneError
+from .errors import ConfigError
 
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -41,16 +41,16 @@ def validate_state(m: np.ndarray) -> np.ndarray:
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
-        raise NotHermitianError(f"expected a 4x4 matrix, got shape {m.shape}")
+        raise ConfigError(f"expected a 4x4 matrix, got shape {m.shape}")
     defect = _hermiticity_defect(m)
     if defect > HERMITIAN_TOL:
-        raise NotHermitianError(f"hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL:.0e}")
+        raise ConfigError(f"hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL:.0e}")
     tr = np.trace(m)
     if abs(tr - 1.0) > TRACE_TOL:
-        raise TraceNotOneError(f"|trace - 1| = {abs(tr - 1.0):.3e} exceeds {TRACE_TOL:.0e}")
+        raise ConfigError(f"|trace - 1| = {abs(tr - 1.0):.3e} exceeds {TRACE_TOL:.0e}")
     evals = np.linalg.eigvalsh(m)
     if evals[0] < -PSD_TOL:
-        raise NotPSDError(f"minimum eigenvalue {evals[0]:.3e} below -{PSD_TOL:.0e}")
+        raise ConfigError(f"minimum eigenvalue {evals[0]:.3e} below -{PSD_TOL:.0e}")
     return m
 
 
@@ -61,14 +61,6 @@ def partial_transpose(rho: np.ndarray) -> np.ndarray:
     """
     rho = np.asarray(rho, dtype=complex)
     return rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-
-
-def eig_hermitian(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian 4x4 matrix, sorted descending."""
-    m = np.asarray(m, dtype=complex)
-    if _hermiticity_defect(m) > 1e-10:
-        raise NotHermitianError("matrix is not Hermitian within 1e-10")
-    return np.linalg.eigvalsh(m)[::-1]
 
 
 def negativity(rho: np.ndarray) -> float:
@@ -88,8 +80,8 @@ def expectation(rho: np.ndarray, obs: np.ndarray) -> float:
     """Tr(rho * obs) for a Hermitian observable."""
     obs = np.asarray(obs, dtype=complex)
     if _hermiticity_defect(obs) > 1e-10:
-        raise NotHermitianError("observable is not Hermitian within 1e-10")
+        raise ConfigError("observable is not Hermitian within 1e-10")
     val = np.trace(np.asarray(rho, dtype=complex) @ obs)
     if abs(val.imag) > 1e-10:
-        raise NotHermitianError(f"expectation has imaginary residue {val.imag:.3e}")
+        raise ConfigError(f"expectation has imaginary residue {val.imag:.3e}")
     return float(val.real)

@@ -11,14 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import (
-    EmptySettingError,
-    IndexOutOfRangeError,
-    MissingSettingError,
-    NotPSDError,
-    ParseFailureError,
-    TraceNotOneError,
-)
+from .errors import ConfigError, DataError
 
 #: (first-qubit axis, second-qubit axis) pairs of the default suite.
 DEFAULT_SETTINGS = ((1, 1), (1, 2), (2, 1), (2, 2), (3, 3))
@@ -54,20 +47,15 @@ class FrequencyTable:
 
     settings: tuple
     freqs: np.ndarray  # shape (n_settings, 4), rows sum to 1
-    totals: np.ndarray  # shape (n_settings,), shots per setting
-
-    @property
-    def counts(self) -> np.ndarray:
-        """The outcome counts, frequency times setting total."""
-        return self.freqs * self.totals[:, None]
+    counts: np.ndarray  # shape (n_settings, 4), the record's own counts
 
 
 def spin_projector(axis: int, sign: int) -> np.ndarray:
     """Rank-1 projector (I +/- A)/2 onto the +/-1 eigenspace of a spin axis."""
     if axis not in linalg.PAULIS:
-        raise IndexOutOfRangeError(f"axis must be 1 (X), 2 (Y) or 3 (Z), got {axis}")
+        raise ConfigError(f"axis must be 1 (X), 2 (Y) or 3 (Z), got {axis}")
     if sign not in (1, -1):
-        raise IndexOutOfRangeError(f"sign must be +1 or -1, got {sign}")
+        raise ConfigError(f"sign must be +1 or -1, got {sign}")
     return (_I2 + sign * linalg.PAULIS[axis]) / 2.0
 
 
@@ -79,9 +67,9 @@ def outcome_probabilities(rho: np.ndarray, setting) -> np.ndarray:
         op = np.kron(spin_projector(a, sa), spin_projector(b, sb))
         probs[k] = np.real(np.trace(np.asarray(rho, dtype=complex) @ op))
     if probs.min() <= -1e-10:
-        raise NotPSDError(f"negative outcome probability {probs.min():.3e}")
+        raise ConfigError(f"negative outcome probability {probs.min():.3e}")
     if abs(probs.sum() - 1.0) >= 1e-12:
-        raise TraceNotOneError(f"outcome probabilities sum to {probs.sum():.15g}, not 1")
+        raise ConfigError(f"outcome probabilities sum to {probs.sum():.15g}, not 1")
     return np.clip(probs, 0.0, 1.0)
 
 
@@ -110,8 +98,9 @@ def frequencies(rec: MeasurementRecord) -> FrequencyTable:
     totals = rec.setting_totals
     if np.any(totals == 0):
         empty = [rec.settings[i] for i in np.flatnonzero(totals == 0)]
-        raise EmptySettingError(f"settings with zero counts: {empty}")
-    return FrequencyTable(settings=rec.settings, freqs=rec.counts / totals[:, None], totals=totals)
+        raise DataError(f"settings with zero counts: {empty}")
+    return FrequencyTable(settings=rec.settings, freqs=rec.counts / totals[:, None],
+                          counts=rec.counts)
 
 
 def same_different_counts(rec_or_freq):
@@ -178,7 +167,7 @@ def _integer(value, what: str) -> int:
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseFailureError(f"{what} {value!r} is not an integer")
+        raise DataError(f"{what} {value!r} is not an integer")
     return value
 
 
@@ -191,15 +180,15 @@ def record_from_dict(doc: dict) -> MeasurementRecord:
         rows = [[_integer(c, "outcome count") for c in s["counts"]] for s in doc["settings"]]
         meta = doc.get("meta", {})
     except (KeyError, TypeError) as exc:
-        raise ParseFailureError(f"malformed measurement record: {exc}") from exc
+        raise DataError(f"malformed measurement record: {exc}") from exc
     if not isinstance(meta, dict):
-        raise ParseFailureError(f"record meta must be a JSON object, got {meta!r}")
+        raise DataError(f"record meta must be a JSON object, got {meta!r}")
     if len(settings) == 0 or any(len(row) != 4 for row in rows):
-        raise ParseFailureError("record must hold settings with 4 outcome counts each")
+        raise DataError("record must hold settings with 4 outcome counts each")
     if min(min(row) for row in rows) < 0:
-        raise ParseFailureError("negative outcome count")
+        raise DataError("negative outcome count")
     if sum(map(sum, rows)) > _INT64_MAX:
-        raise ParseFailureError(f"outcome counts sum past the int64 limit {_INT64_MAX}")
+        raise DataError(f"outcome counts sum past the int64 limit {_INT64_MAX}")
     counts = np.array(rows, dtype=np.int64)
     return MeasurementRecord(settings=settings, counts=counts, meta=dict(meta))
 
@@ -215,13 +204,13 @@ def load_record(path) -> MeasurementRecord:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ParseFailureError(f"cannot read record {path}: {exc}") from exc
+        raise DataError(f"cannot read record {path}: {exc}") from exc
     return record_from_dict(doc)
 
 
 def require_default_settings(rec_or_freq) -> None:
-    """Raise MissingSettingError unless the five default settings are present in order."""
+    """Raise DataError unless the five default settings are present in order."""
     if tuple(rec_or_freq.settings) != DEFAULT_SETTINGS:
-        raise MissingSettingError(
+        raise DataError(
             f"expected settings {DEFAULT_SETTINGS}, got {tuple(rec_or_freq.settings)}"
         )

@@ -23,12 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import families, linalg, measurement
-from .errors import (
-    AllStatesExcludedError,
-    InvalidSimplexPointError,
-    LengthMismatchError,
-    OutOfDomainError,
-)
+from .errors import ConfigError, DataError
 from .families import TestSet
 
 #: Rows of the default settings where every Bell-diagonal state predicts
@@ -124,18 +119,18 @@ def update_posterior(
     ``np.exp`` and their weights zeroed after, so numpy runs its unmasked
     loop and never its slow subnormal path.
     An override ``prior_weights`` with a non-finite or negative entry
-    raises InvalidSimplexPointError; the test set's own prior is checked
-    when the test set is built.
+    raises ConfigError; the test set's own prior is checked when the test
+    set is built.
     """
     prior = ts.prior_weights if prior_weights is None else np.asarray(prior_weights)
     if len(prior) != ts.n_states:
-        raise LengthMismatchError("prior weights do not match the test set")
+        raise ConfigError("prior weights do not match the test set")
     if prior_weights is not None and not (np.isfinite(prior).all() and prior.min() >= 0):
-        raise InvalidSimplexPointError("prior weights must be finite and non-negative")
+        raise ConfigError("prior weights must be finite and non-negative")
     ll = log_likelihood_vector(ts, rec)
     shift = ll.max()
     if not np.isfinite(shift):
-        raise AllStatesExcludedError("every test state assigns zero probability to the record")
+        raise DataError("every test state assigns zero probability to the record")
     ll -= shift
     keep = ll >= _LOG_TINY
     # The clamp comes first: it turns -inf into a finite value, so that
@@ -147,7 +142,7 @@ def update_posterior(
     w *= prior
     total = w.sum()
     if total <= 0.0:
-        raise AllStatesExcludedError("posterior mass vanished after the update")
+        raise DataError("posterior mass vanished after the update")
     w /= total
     return Posterior(weights=w, record=rec)
 
@@ -162,7 +157,7 @@ def summarize(ts: TestSet, post: Posterior) -> EstimateSummary:
     """
     w = post.weights
     if len(w) != ts.n_states:
-        raise LengthMismatchError("posterior does not match the test set")
+        raise ConfigError("posterior does not match the test set")
     neg_mean = float(w @ ts.negativities)
     neg_var = max(0.0, float(w @ ts.negativities**2) - neg_mean**2)
     pur_mean = float(w @ ts.purities)
@@ -183,7 +178,7 @@ def histogram_negativity(ts: TestSet, weights: np.ndarray, n_bins: int) -> Histo
     cached indices; the masses equal those of boolean-mask selections.
     """
     if len(weights) != ts.n_states:
-        raise LengthMismatchError("weights do not match the test set")
+        raise ConfigError("weights do not match the test set")
     ent = ts.entangled_index
     separable_mass = float(weights.take(ts.separable_index).sum())
     top = float(ts.negativities.max())
@@ -202,15 +197,15 @@ def mean_state(ts: TestSet, post: Posterior) -> np.ndarray:
     Every state is Bell-diagonal, so this is the Bell-diagonal state of the
     posterior mean Bell weights.  Its negativity never exceeds the posterior
     mean negativity (the trace norm is convex); a violation means the cached
-    negativities do not describe the states, and raises OutOfDomainError.
+    negativities do not describe the states, and raises ConfigError.
     """
     w = post.weights
     if len(w) != ts.n_states:
-        raise LengthMismatchError("posterior does not match the test set")
+        raise ConfigError("posterior does not match the test set")
     rho = families.bell_diagonal_state(w @ ts.bell_weights)
     neg, bound = linalg.negativity(rho), float(w @ ts.negativities)
     if neg > bound + 1e-9:
-        raise OutOfDomainError(
+        raise ConfigError(
             f"mean-state negativity {neg:.6g} exceeds the posterior mean negativity {bound:.6g}"
         )
     return rho

@@ -198,22 +198,23 @@ def test_criterion_6_property_suite(capsys):
             np.max(np.abs(seq.weights - batch.weights)) < 1e-9)
 
     freq = measurement.frequencies(joint)
+    scores = criteria.compare(joint).scores
     p_bd, _ = criteria.fit_bell_diagonal(freq)
     ok_bd = abs(
-        criteria.log_l_bell_diagonal(freq, joint)
+        scores["bell_diag"].log_l
         - posterior.log_likelihood(joint, families.bell_diagonal_state(p_bd))
     ) < 1e-9
     p_tp, b_tp, _ = criteria.fit_two_param(freq)
-    c_tp = b_tp / p_tp if p_tp > 0 else 0.0
+    w_tp = families.two_param_bell_weights(p_tp, b_tp)[0]
     ok_tp = abs(
-        criteria.log_l_two_param(freq, joint)
-        - posterior.log_likelihood(joint, families.two_param_state_from_coherence(p_tp, c_tp))
+        scores["two_param"].log_l
+        - posterior.log_likelihood(joint, families.bell_diagonal_state(w_tp))
     ) < 1e-9
     c.check("closed-form vs direct likelihood equality (1e-9)", ok_bd and ok_tp)
 
     l_full = criteria.log_l_full_bound(freq, joint)
-    l_bd = criteria.log_l_bell_diagonal(freq, joint)
-    l_tp = criteria.log_l_two_param(freq, joint)
+    l_bd = scores["bell_diag"].log_l
+    l_tp = scores["two_param"].log_l
     c.check("model-nesting inequality L_a >= L_Bd >= L_{p,sigma}",
             l_full >= l_bd - 1e-9 and l_bd >= l_tp - 1e-9)
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from entchar import cli, families
+from entchar.errors import ConfigError, DataError, EntcharError
 
 
 def run(argv):
@@ -62,6 +63,24 @@ class TestSimulate:
         assert code == 1
         err = capsys.readouterr().err
         assert f"argument {flag}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf"])
+    def test_non_finite_sigma_is_config_error(self, tmp_path, capsys, sigma):
+        out = tmp_path / "x.json"
+        code = run(["simulate", "--state", "two-param", "--p", "0.4", f"--sigma={sigma}",
+                    "--shots", "10", "--seed", "0", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("entchar: config error: sigma must be")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    def test_subnormal_sigma_is_the_noiseless_limit(self, tmp_path):
+        tiny, zero = tmp_path / "tiny.json", tmp_path / "zero.json"
+        for sigma, out in (("1e-320", tiny), ("0", zero)):
+            assert run(["simulate", "--state", "two-param", "--p", "0.4", "--sigma", sigma,
+                        "--shots", "50", "--seed", "3", "--out", str(out)]) == 0
+        assert json.loads(tiny.read_text())["settings"] == json.loads(zero.read_text())["settings"]
 
 
 class TestCharacterize:
@@ -232,6 +251,22 @@ class TestPriorHist:
 
 
 class TestTopLevel:
+    @pytest.mark.parametrize("exc,code,message", [
+        (ConfigError("bad grid"), 1, "entchar: config error: bad grid"),
+        (DataError("bad record"), 2, "entchar: data error: bad record"),
+        (EntcharError("unsorted"), 2, "entchar: data error: unsorted"),
+        (MemoryError("Unable to allocate"), 1, "entchar: config error: Unable to allocate"),
+        (OSError("disk full"), 2, "entchar: i/o error: disk full"),
+    ], ids=["config", "data", "base", "memory", "os"])
+    def test_exit_codes(self, tmp_path, capsys, monkeypatch, exc, code, message):
+        def failing(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_prior_hist", failing)
+        assert run(["prior-hist", "--prior", "bell-diag", "--out", str(tmp_path / "x.json")]) == code
+        err = capsys.readouterr().err
+        assert err == message + "\n"
+
     def test_version(self, capsys):
         assert run(["--version"]) == 0
         assert capsys.readouterr().out.strip() == cli.__version__

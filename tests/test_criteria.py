@@ -3,7 +3,7 @@ import pytest
 from scipy.special import xlogy
 
 from entchar import criteria, families, measurement, posterior
-from entchar.errors import EmptySettingError, InvalidCountError, MissingSettingError
+from entchar.errors import ConfigError, DataError
 
 LN = np.log
 
@@ -23,6 +23,11 @@ def make_record(counts):
     return measurement.MeasurementRecord(
         settings=measurement.DEFAULT_SETTINGS, counts=np.asarray(counts, dtype=int)
     )
+
+
+def max_log_l(rec, model):
+    """A model's maximum log-likelihood, as ``criteria.compare`` scores it."""
+    return criteria.compare(rec).scores[model].log_l
 
 
 def two_param_log_l_oracle(rec, p, b):
@@ -80,7 +85,7 @@ def fallback_records():
     for name, rec in records.items():
         try:
             freq = measurement.frequencies(rec)
-        except EmptySettingError:
+        except DataError:
             continue
         if not criteria.fit_bell_diagonal(freq)[1]:
             out[name] = rec
@@ -149,13 +154,13 @@ class TestFitBellDiagonal:
             rec = measurement.simulate_record(rho, 60, seed=seed)
             try:
                 freq = measurement.frequencies(rec)
-            except EmptySettingError:
+            except DataError:
                 continue
             p, closed = criteria.fit_bell_diagonal(freq)
             if closed:
                 continue
             seen_fallback += 1
-            ll = criteria.log_l_bell_diagonal(freq, rec)
+            ll = max_log_l(rec, "bell_diag")
             # The fallback must not be worse than any random feasible point.
             for _ in range(50):
                 q = rng.dirichlet(np.ones(4))
@@ -172,7 +177,7 @@ class TestFitBellDiagonal:
         p, closed = criteria.fit_bell_diagonal(freq)
         assert not closed
         np.testing.assert_allclose(p, [0.75, 0.0, 0.0, 0.25], rtol=0, atol=1e-12)
-        ll = criteria.log_l_bell_diagonal(freq, rec)
+        ll = max_log_l(rec, "bell_diag")
         random_points = np.random.default_rng(3).dirichlet(np.ones(4), 200_000)
         assert ll >= posterior.bell_log_likelihood(random_points, rec).max()
 
@@ -195,7 +200,7 @@ class TestFitBellDiagonal:
             )
             freq = measurement.frequencies(rec)
             p, _ = criteria.fit_bell_diagonal(freq)
-            assert criteria.log_l_bell_diagonal(freq, rec) == pytest.approx(
+            assert max_log_l(rec, "bell_diag") == pytest.approx(
                 posterior.log_likelihood(rec, families.bell_diagonal_state(p)), abs=1e-9
             )
 
@@ -227,7 +232,7 @@ class TestFitTwoParam:
             rec = measurement.simulate_record(rho, 300, seed=seed)
             freq = measurement.frequencies(rec)
             p, b, _ = criteria.fit_two_param(freq)
-            ll = criteria.log_l_two_param(freq, rec)
+            ll = max_log_l(rec, "two_param")
             assert ll >= fine_grid_max(rec) - 1e-9
             assert ll == pytest.approx(float(two_param_log_l_oracle(rec, p, b)), abs=1e-9)
 
@@ -239,7 +244,7 @@ class TestFitTwoParam:
         assert closed
         assert p == pytest.approx(0.6, abs=1e-12)
         assert b == pytest.approx(1080 / 10100, abs=1e-12)
-        ll = criteria.log_l_two_param(freq, rec)
+        ll = max_log_l(rec, "two_param")
         assert ll == pytest.approx(float(two_param_log_l_oracle(rec, p, b)), abs=1e-9)
         assert ll >= fine_grid_max(rec) - 1e-9
         assert criteria.compare(rec).winner_aic != "full"
@@ -252,16 +257,16 @@ class TestFitTwoParam:
         p, b, closed = criteria.fit_two_param(freq)
         assert not closed and p == b
         assert p == pytest.approx((180 + 180 + 600 - 20 - 20 - 400) / 1400, abs=1e-12)
-        assert criteria.log_l_two_param(freq, rec) >= fine_grid_max(rec) - 1e-9
+        assert max_log_l(rec, "two_param") >= fine_grid_max(rec) - 1e-9
 
     def test_log_l_matches_state_likelihood(self):
         for seed in range(5):
             rec = measurement.simulate_record(families.two_param_state(0.5, 0.7), 400, seed=seed)
             freq = measurement.frequencies(rec)
             p, b, _ = criteria.fit_two_param(freq)
-            c = b / p if p > 0 else 0.0
-            assert criteria.log_l_two_param(freq, rec) == pytest.approx(
-                posterior.log_likelihood(rec, families.two_param_state_from_coherence(p, c)),
+            assert max_log_l(rec, "two_param") == pytest.approx(
+                posterior.log_likelihood(
+                    rec, families.bell_diagonal_state(families.two_param_bell_weights(p, b)[0])),
                 abs=1e-9,
             )
 
@@ -281,9 +286,9 @@ class TestScore:
         assert s.omega_bic == pytest.approx(-100.0 - 3 * LN(5000) / 2)
 
     def test_invalid_counts(self):
-        with pytest.raises(InvalidCountError):
+        with pytest.raises(ConfigError):
             criteria.score(0.0, 2, 0)
-        with pytest.raises(InvalidCountError):
+        with pytest.raises(ConfigError):
             criteria.score(0.0, -1, 100)
 
 
@@ -301,8 +306,8 @@ class TestNesting:
             rec = measurement.simulate_record(rho, 500, seed=seed)
             freq = measurement.frequencies(rec)
             l_full = criteria.log_l_full_bound(freq, rec)
-            l_bd = criteria.log_l_bell_diagonal(freq, rec)
-            l_tp = criteria.log_l_two_param(freq, rec)
+            l_bd = max_log_l(rec, "bell_diag")
+            l_tp = max_log_l(rec, "two_param")
             assert l_full >= l_bd - 1e-9
             assert l_bd >= l_tp - 1e-9
 
@@ -344,7 +349,7 @@ class TestCompare:
         rec = measurement.MeasurementRecord(
             settings=((1, 1), (1, 2), (2, 1), (2, 2)), counts=np.full((4, 4), 5)
         )
-        with pytest.raises(MissingSettingError):
+        with pytest.raises(DataError):
             criteria.compare(rec)
 
 

@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from entchar import families, linalg, measurement, posterior
-from entchar.errors import (
-    IndexOutOfRangeError,
-    InvalidGridSizeError,
-    InvalidSimplexPointError,
-    OutOfDomainError,
-    UnknownStateFamilyError,
-)
+from entchar.errors import ConfigError
 
 
 def simpson_coherence(sigma, n=200_001):
@@ -37,7 +31,7 @@ class TestBellStates:
         np.testing.assert_allclose(mix, np.eye(4) / 4.0, atol=1e-14)
 
     def test_index_out_of_range(self):
-        with pytest.raises(IndexOutOfRangeError):
+        with pytest.raises(ConfigError):
             families.bell_state(5)
 
 
@@ -67,8 +61,19 @@ class TestCoherenceFactor:
         assert families.coherence_factor(sigma) == pytest.approx(2.0 / sigma**2, rel=1e-3)
 
     def test_negative_width_rejected(self):
-        with pytest.raises(OutOfDomainError):
+        with pytest.raises(ConfigError):
             families.coherence_factor(-0.1)
+
+    @pytest.mark.parametrize("sigma", [1e-308, 1e-320, 5e-324])
+    def test_narrowest_widths_give_the_limit(self, sigma):
+        # pi / sigma overflows here; c takes its sigma -> 0 limit.
+        assert families.coherence_factor(sigma) == 1.0
+        assert families.coherence_factor(np.float64(sigma)) == 1.0
+
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
+    def test_non_finite_width_rejected(self, sigma):
+        with pytest.raises(ConfigError, match="sigma must be"):
+            families.coherence_factor(sigma)
 
 
 class TestTwoParamFamily:
@@ -86,7 +91,7 @@ class TestTwoParamFamily:
         assert linalg.purity(rho) == pytest.approx(0.3638, abs=5e-4)
 
     def test_out_of_domain(self):
-        with pytest.raises(OutOfDomainError):
+        with pytest.raises(ConfigError):
             families.two_param_state(1.2, 0.4)
 
     def test_analytic_negativity_matches_eigensolver_on_grid(self):
@@ -116,7 +121,7 @@ class TestBellDiagonal:
         assert linalg.negativity(rho) == pytest.approx(0.2, abs=1e-12)
 
     def test_invalid_simplex_point(self):
-        with pytest.raises(InvalidSimplexPointError):
+        with pytest.raises(ConfigError):
             families.bell_diagonal_state([0.5, 0.5, 0.5, -0.5])
 
 
@@ -138,7 +143,7 @@ class TestRhoK:
 
     def test_domain(self):
         for k in (0.0, -0.5, 1.5):
-            with pytest.raises(OutOfDomainError):
+            with pytest.raises(ConfigError):
                 families.rho_k_state(k)
 
 
@@ -155,7 +160,7 @@ class TestReferenceMixtures:
         )
 
     def test_unknown(self):
-        with pytest.raises(UnknownStateFamilyError):
+        with pytest.raises(ConfigError):
             families.reference_mixture("rho3")
 
 
@@ -167,7 +172,7 @@ class TestGridPrior:
         np.testing.assert_allclose(ts.state(0), np.eye(4) / 4.0, atol=1e-14)
 
     def test_too_small(self):
-        with pytest.raises(InvalidGridSizeError):
+        with pytest.raises(ConfigError):
             families.grid_prior_two_param(1, 5)
 
     def test_all_states_valid(self):

@@ -1,9 +1,11 @@
-"""Property tests: no record document, however malformed, ends in a traceback.
+"""Property tests: no record document or state parameter, however malformed, ends in a traceback.
 
-``record_from_dict`` either returns a record or raises ParseFailureError,
+``record_from_dict`` either returns a record or raises DataError,
 and ``entchar compare`` and ``entchar characterize`` (on small priors) on
 any record file exit with 0, 1 or 2.  A characterization that succeeds
-has finite masses that sum to 1.
+has finite masses that sum to 1.  ``entchar simulate`` with any float
+state parameters, nan, infinities and subnormals included, exits with 0
+or 1.
 """
 
 import contextlib
@@ -18,7 +20,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from entchar import cli, measurement  # noqa: E402
-from entchar.errors import ParseFailureError  # noqa: E402
+from entchar.errors import DataError  # noqa: E402
 
 scalars = (
     st.none() | st.booleans() | st.integers(-(2**70), 2**70)
@@ -76,7 +78,7 @@ documents = values | loose_records | default_records
 def test_record_from_dict_returns_or_raises_parse_failure(doc):
     try:
         rec = measurement.record_from_dict(doc)
-    except ParseFailureError:
+    except DataError:
         return
     assert isinstance(rec, measurement.MeasurementRecord)
     assert rec.counts.shape == (len(rec.settings), 4)
@@ -127,3 +129,26 @@ def test_characterize_exits_cleanly(workdir, doc, prior_args):
         masses = [prob_entangled, separable_mass, *result["histogram"]["bin_mass"]]
         assert all(math.isfinite(m) for m in masses)
         assert abs(prob_entangled + separable_mass - 1.0) <= 1e-9
+
+
+#: State parameters: anywhere on the float line, in the families' domains,
+#: or at the values where the closed forms overflow or are undefined.
+parameters = st.none() | st.floats() | st.floats(0.0, 1.0) | st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), 0.0, -0.0, 5e-324, 1e-320, 1e-308, 1.7e308]
+)
+
+
+@given(st.sampled_from(["two-param", "rho-k", "rho1"]), parameters, parameters, parameters,
+       st.integers(0, 50))
+@settings(max_examples=300, deadline=None)
+def test_simulate_exits_cleanly(workdir, state, p, sigma, k, shots):
+    argv = ["simulate", "--state", state, "--shots", str(shots), "--seed", "0",
+            "--out", str(workdir / "sim.json")]
+    for flag, value in (("--p", p), ("--sigma", sigma), ("--k", k)):
+        if value is not None:
+            argv.append(f"{flag}={value!r}")
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    assert code in (0, 1)
+    assert "Traceback" not in stderr.getvalue()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from entchar import families, linalg
-from entchar.errors import NotHermitianError, NotPSDError, TraceNotOneError
+from entchar.errors import ConfigError
 
 IDENTITY4 = np.eye(4) / 4.0
 
@@ -42,17 +42,17 @@ class TestValidateState:
         linalg.validate_state(rho)
 
     def test_negative_eigenvalue_rejected(self):
-        with pytest.raises(NotPSDError, match="eigenvalue"):
+        with pytest.raises(ConfigError, match="minimum eigenvalue"):
             linalg.validate_state(np.diag([0.5, 0.6, 0.0, -0.1]))
 
     def test_non_hermitian_rejected(self):
         m = np.eye(4) / 4.0 + 0j
         m[0, 1] = 0.1
-        with pytest.raises(NotHermitianError):
+        with pytest.raises(ConfigError, match="hermiticity defect"):
             linalg.validate_state(m)
 
     def test_wrong_trace_rejected(self):
-        with pytest.raises(TraceNotOneError):
+        with pytest.raises(ConfigError, match="trace"):
             linalg.validate_state(np.eye(4) / 2.0)
 
 
@@ -72,9 +72,7 @@ class TestPartialTranspose:
         # resolves it to ~1e-5.
         oracle = charpoly_eigenvalues(pt, imag_tol=1e-4)
         np.testing.assert_allclose(oracle, [0.5, 0.5, 0.5, -0.5], atol=1e-4)
-        np.testing.assert_allclose(
-            linalg.eig_hermitian(pt), [0.5, 0.5, 0.5, -0.5], atol=1e-12
-        )
+        np.testing.assert_allclose(np.linalg.eigvalsh(pt)[::-1], [0.5, 0.5, 0.5, -0.5], atol=1e-12)
 
     def test_two_param_min_eigenvalue(self):
         pt = linalg.partial_transpose(families.two_param_state(0.4, 0.4))
@@ -85,32 +83,6 @@ class TestPartialTranspose:
         pt = linalg.partial_transpose(rho)
         assert np.trace(pt).real == pytest.approx(1.0, abs=1e-14)
         assert np.max(np.abs(pt - pt.conj().T)) < 1e-14
-
-
-class TestEigHermitian:
-    def test_identity(self):
-        np.testing.assert_allclose(linalg.eig_hermitian(IDENTITY4), [0.25] * 4, atol=1e-14)
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(
-            linalg.eig_hermitian(np.diag([0.4, 0.3, 0.2, 0.1])), [0.4, 0.3, 0.2, 0.1], atol=1e-14
-        )
-
-    def test_against_charpoly_oracle(self):
-        rng = np.random.default_rng(11)
-        for _ in range(30):
-            rho = random_state(rng)
-            np.testing.assert_allclose(
-                linalg.eig_hermitian(rho), charpoly_eigenvalues(rho), atol=1e-8
-            )
-
-    def test_deterministic(self):
-        rho = random_state(np.random.default_rng(3))
-        assert np.array_equal(linalg.eig_hermitian(rho), linalg.eig_hermitian(rho))
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(NotHermitianError):
-            linalg.eig_hermitian(np.arange(16.0).reshape(4, 4))
 
 
 class TestNegativity:
@@ -127,6 +99,17 @@ class TestNegativity:
 
     def test_maximally_entangled(self):
         assert linalg.negativity(families.bell_state(1)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_against_charpoly_oracle(self):
+        rng = np.random.default_rng(11)
+        entangled = 0
+        for _ in range(30):
+            rho = random_state(rng)
+            evals = charpoly_eigenvalues(linalg.partial_transpose(rho))
+            expected = -2.0 * evals[evals < 0].sum()
+            entangled += expected > 0
+            assert linalg.negativity(rho) == pytest.approx(expected, abs=1e-8)
+        assert entangled > 0
 
     def test_bell_diagonal_closed_form_matches_eigensolver(self):
         # N = 2*max(0, max_i p_i - 1/2) for Bell-diagonal states.
@@ -175,5 +158,5 @@ class TestExpectation:
     def test_rejects_non_hermitian_observable(self):
         obs = np.zeros((4, 4), dtype=complex)
         obs[0, 1] = 1.0
-        with pytest.raises(NotHermitianError):
+        with pytest.raises(ConfigError, match="observable is not Hermitian"):
             linalg.expectation(IDENTITY4, obs)
