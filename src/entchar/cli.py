@@ -8,12 +8,12 @@ Subcommands::
     entchar prior-hist   --prior bell-diag --samples 1000000 --seed 1 --bins 100 --out hist.json
 
 All randomness flows from the single --seed value; result documents echo
-their configuration so a run can be replayed bit-exactly with the same BLAS
-thread count (the posterior moments are BLAS dot products, whose last bit
-depends on how the sum is split across threads).
+their configuration so a run can be replayed bit-exactly.
 """
 
 import argparse
+import dataclasses
+import functools
 import json
 import sys
 import time
@@ -62,38 +62,45 @@ def _parse_grid(text: str):
     return n_p, n_sigma
 
 
+#: Each state `simulate` can draw from: the flags it takes, in the order of
+#: the builder's arguments and of the record label, and the builder.
+_STATES = {
+    "two-param": (("p", "sigma"), families.two_param_state),
+    "rho-k": (("k",), families.rho_k_state),
+    "rho1": ((), functools.partial(families.reference_mixture, "rho1")),
+    "rho2": ((), functools.partial(families.reference_mixture, "rho2")),
+}
+_STATE_FLAGS = tuple(dict.fromkeys(f for flags, _ in _STATES.values() for f in flags))
+
+
 def _build_state(args):
-    family = args.state
-    if family == "two-param":
-        if args.p is None or args.sigma is None:
-            raise ConfigError("--state two-param requires --p and --sigma")
-        return families.two_param_state(args.p, args.sigma), f"two-param p={args.p} sigma={args.sigma}"
-    if family == "rho-k":
-        if args.k is None:
-            raise ConfigError("--state rho-k requires --k")
-        return families.rho_k_state(args.k), f"rho-k k={args.k}"
-    if family in ("rho1", "rho2"):
-        return families.reference_mixture(family), family
-    raise ConfigError(f"unknown state family {family!r}")
+    """The state chosen by --state and its record label.
+
+    A flag the state takes but was not given, and a flag given that the
+    state does not take, are both ConfigErrors.
+    """
+    if args.state not in _STATES:
+        raise ConfigError(f"unknown state family {args.state!r}")
+    flags, build = _STATES[args.state]
+    if any(getattr(args, f) is None for f in flags):
+        raise ConfigError(f"--state {args.state} requires " + " and ".join(f"--{f}" for f in flags))
+    foreign = [f"--{f}" for f in _STATE_FLAGS if f not in flags and getattr(args, f) is not None]
+    if foreign:
+        raise ConfigError(f"--state {args.state} does not take " + " or ".join(foreign))
+    values = [getattr(args, f) for f in flags]
+    label = " ".join([args.state] + [f"{f}={v}" for f, v in zip(flags, values)])
+    return build(*values), label
 
 
-def _build_prior(args) -> families.TestSet:
+def _build_prior(args):
+    """The prior test set and the config fields that reproduce it."""
     if args.prior == "two-param":
         n_p, n_sigma = _parse_grid(args.grid)
-        return families.grid_prior_two_param(n_p, n_sigma)
+        return families.grid_prior_two_param(n_p, n_sigma), {"prior": args.prior, "grid": args.grid}
     if args.prior == "bell-diag":
-        return families.simplex_prior_bell_diagonal(args.samples, args.seed)
+        ts = families.simplex_prior_bell_diagonal(args.samples, args.seed)
+        return ts, {"prior": args.prior, "samples": args.samples, "seed": args.seed}
     raise ConfigError(f"unknown prior {args.prior!r}")
-
-
-def _prior_config(args) -> dict:
-    cfg = {"prior": args.prior}
-    if args.prior == "two-param":
-        cfg["grid"] = args.grid
-    else:
-        cfg["samples"] = args.samples
-        cfg["seed"] = args.seed
-    return cfg
 
 
 def _histogram_dict(hist: posterior.Histogram) -> dict:
@@ -101,28 +108,6 @@ def _histogram_dict(hist: posterior.Histogram) -> dict:
         "bin_edges": [float(x) for x in hist.bin_edges],
         "bin_mass": [float(x) for x in hist.bin_mass],
         "separable_mass": hist.separable_mass,
-    }
-
-
-def _comparison_dict(report: criteria.ComparisonReport) -> dict:
-    return {
-        "scores": {
-            name: {
-                "log_l": s.log_l,
-                "k": s.k,
-                "omega_aic": s.omega_aic,
-                "omega_bic": s.omega_bic,
-                "n_m": s.n_m,
-            }
-            for name, s in report.scores.items()
-        },
-        "delta_omega": report.delta_omega,
-        "delta_omega_bd": report.delta_omega_bd,
-        "delta_omega_primed": report.delta_omega_primed,
-        "delta_omega_bd_primed": report.delta_omega_bd_primed,
-        "winner_aic": report.winner_aic,
-        "winner_bic": report.winner_bic,
-        "closed_form": report.closed_form,
     }
 
 
@@ -162,7 +147,7 @@ def cmd_simulate(args) -> int:
 def cmd_characterize(args) -> int:
     started = time.monotonic()
     rec = measurement.load_record(args.record)
-    ts = _build_prior(args)
+    ts, prior_config = _build_prior(args)
     post = posterior.update_posterior(ts, rec)
     summary = posterior.summarize(ts, post)
     hist = posterior.histogram_negativity(ts, post.weights, args.bins)
@@ -170,16 +155,12 @@ def cmd_characterize(args) -> int:
     config = {
         "command": "characterize",
         "record": str(args.record),
-        **_prior_config(args),
+        **prior_config,
         "bins": args.bins,
         "format": args.format,
     }
     summary_doc = {
-        "prob_entangled": summary.prob_entangled,
-        "neg_mean": summary.neg_mean,
-        "neg_std": summary.neg_std,
-        "pur_mean": summary.pur_mean,
-        "pur_std": summary.pur_std,
+        **dataclasses.asdict(summary),
         "mean_state": {
             "negativity": linalg.negativity(rho_bar),
             "purity": linalg.purity(rho_bar),
@@ -203,7 +184,7 @@ def cmd_compare(args) -> int:
     rec = measurement.load_record(args.record)
     report = criteria.compare(rec)
     config = {"command": "compare", "record": str(args.record)}
-    _write_result(args.out, config, comparison=_comparison_dict(report), started=started)
+    _write_result(args.out, config, comparison=dataclasses.asdict(report), started=started)
     print(
         f"delta_omega = {report.delta_omega:.3f}  delta_omega' = {report.delta_omega_primed:.3f}  "
         f"winners: AIC={report.winner_aic} BIC={report.winner_bic}"
@@ -213,11 +194,11 @@ def cmd_compare(args) -> int:
 
 def cmd_prior_hist(args) -> int:
     started = time.monotonic()
-    ts = _build_prior(args)
+    ts, prior_config = _build_prior(args)
     hist = posterior.histogram_negativity(ts, ts.prior_weights, args.bins)
     config = {
         "command": "prior-hist",
-        **_prior_config(args),
+        **prior_config,
         "bins": args.bins,
         "format": args.format,
     }
@@ -235,10 +216,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="simulate a finite measurement record")
-    sim.add_argument("--state", required=True, choices=["two-param", "rho-k", "rho1", "rho2"])
-    sim.add_argument("--p", type=float)
-    sim.add_argument("--sigma", type=float)
-    sim.add_argument("--k", type=float)
+    sim.add_argument("--state", required=True, choices=list(_STATES))
+    for flag in _STATE_FLAGS:
+        sim.add_argument(f"--{flag}", type=float)
     sim.add_argument("--shots", type=_shots, required=True, help="shots per setting")
     sim.add_argument("--seed", type=_non_negative_int, required=True)
     sim.add_argument("--out", required=True)

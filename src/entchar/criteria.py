@@ -40,7 +40,6 @@ K_TWO_PARAM = 2
 
 @dataclass
 class ModelScore:
-    model_id: str
     log_l: float
     k: int
     omega_aic: float
@@ -50,7 +49,7 @@ class ModelScore:
 
 @dataclass
 class ComparisonReport:
-    scores: dict
+    scores: dict                # model name -> ModelScore
     delta_omega: float          # Omega_{two_param} - Omega_{full}, AIC
     delta_omega_bd: float       # Omega_{bell_diag} - Omega_{full}, AIC
     delta_omega_primed: float   # BIC analogues
@@ -60,9 +59,9 @@ class ComparisonReport:
     closed_form: dict
 
 
-def log_l_full_bound(freq: FrequencyTable, rec: MeasurementRecord) -> float:
+def log_l_full_bound(freq: FrequencyTable) -> float:
     """Entropy bound on the maximum log-likelihood over all states."""
-    return float(xlogy(rec.counts, freq.freqs).sum())
+    return float(xlogy(freq.counts, freq.freqs).sum())
 
 
 def fit_bell_diagonal(freq: FrequencyTable):
@@ -168,14 +167,13 @@ def _log_l(weights, rec: MeasurementRecord) -> float:
     return float(posterior.bell_log_likelihood(np.atleast_2d(weights), rec)[0])
 
 
-def score(log_l: float, k: int, n_m: int, model_id: str = "") -> ModelScore:
+def score(log_l: float, k: int, n_m: int) -> ModelScore:
     """AIC and BIC scores: log L - k and log L - k*ln(N_m)/2."""
     if n_m < 1:
         raise ConfigError(f"total shot count must be >= 1, got {n_m}")
     if k < 0:
         raise ConfigError(f"parameter count must be >= 0, got {k}")
     return ModelScore(
-        model_id=model_id,
         log_l=float(log_l),
         k=k,
         omega_aic=float(log_l) - k,
@@ -186,7 +184,7 @@ def score(log_l: float, k: int, n_m: int, model_id: str = "") -> ModelScore:
 
 def _winner(scores, key) -> str:
     # Ties break toward fewer parameters.
-    return max(scores.values(), key=lambda s: (key(s), -s.k)).model_id
+    return max(scores, key=lambda name: (key(scores[name]), -scores[name].k))
 
 
 def compare(rec: MeasurementRecord) -> ComparisonReport:
@@ -198,9 +196,9 @@ def compare(rec: MeasurementRecord) -> ComparisonReport:
     p_tp, b_tp, tp_closed = fit_two_param(freq)
     l_tp = _log_l(families.two_param_bell_weights(p_tp, b_tp), rec)
     scores = {
-        "full": score(log_l_full_bound(freq, rec), K_FULL, n_m, "full"),
-        "bell_diag": score(_log_l(p_bd, rec), K_BELL_DIAGONAL, n_m, "bell_diag"),
-        "two_param": score(l_tp, K_TWO_PARAM, n_m, "two_param"),
+        "full": score(log_l_full_bound(freq), K_FULL, n_m),
+        "bell_diag": score(_log_l(p_bd, rec), K_BELL_DIAGONAL, n_m),
+        "two_param": score(l_tp, K_TWO_PARAM, n_m),
     }
     return ComparisonReport(
         scores=scores,

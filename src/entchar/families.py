@@ -12,8 +12,8 @@ Both are Bell-diagonal, so every state is described by four Bell weights
 predict 1/4 for every XY and YX outcome, and split the XX, YY and ZZ
 outcomes by three same-outcome probabilities that are linear in the
 weights (``same_outcome_probabilities``).  Likelihoods and mean states
-are therefore computed from four numbers per state, and negativity and
-purity have closed forms that the test-set builders cache.
+are therefore computed from four numbers per state, and ``TestSet``
+caches negativity and purity from their closed forms in those weights.
 
 The builders store the Bell weights column-contiguously: an (n, 4) array
 that is the transpose view of a (4, n) buffer, so each weight
@@ -32,6 +32,7 @@ import numpy as np
 from scipy.special import erf, wofz
 
 from .errors import ConfigError
+from .linalg import NEGATIVITY_FLOOR
 
 MODEL_TWO_PARAM = "two_param"
 MODEL_BELL_DIAGONAL = "bell_diag"
@@ -99,11 +100,6 @@ def two_param_state(p: float, sigma: float) -> np.ndarray:
     return _two_param_matrix(p, coherence_factor(sigma))
 
 
-def two_param_negativity(p, c):
-    """Analytic negativity of rho_{p,sigma}: 2 * max(0, p*c/2 - (1-p)/4)."""
-    return 2.0 * np.maximum(0.0, np.asarray(p) * np.asarray(c) / 2.0 - (1.0 - np.asarray(p)) / 4.0)
-
-
 def two_param_bell_weights(p, b) -> np.ndarray:
     """Bell weights (n, 4) of rho_{p,sigma} from p and b = p * c(sigma).
 
@@ -115,13 +111,6 @@ def two_param_bell_weights(p, b) -> np.ndarray:
     b = np.atleast_1d(np.asarray(b, dtype=float))
     floor = (1.0 - p) / 4.0
     return np.array([floor + (p + b) / 2.0, floor + (p - b) / 2.0, floor, floor]).T
-
-
-def two_param_purity(p, c):
-    """Analytic Tr(rho^2) for rho_{p,sigma}."""
-    p = np.asarray(p)
-    c = np.asarray(c)
-    return 2.0 * (((1.0 + p) / 4.0) ** 2 + ((1.0 - p) / 4.0) ** 2) + 2.0 * (p * c / 2.0) ** 2
 
 
 def bell_diagonal_state(pvec) -> np.ndarray:
@@ -140,6 +129,12 @@ def bell_diagonal_negativity(pvec):
     w = np.atleast_2d(pvec)
     top = np.maximum(np.maximum(w[:, 0], w[:, 1]), np.maximum(w[:, 2], w[:, 3]))
     return 2.0 * np.maximum(0.0, top - 0.5)
+
+
+def bell_diagonal_purity(pvec):
+    """Tr(rho^2) = sum_i p_i^2 for each row of Bell-diagonal weights, as (n,)."""
+    w = np.atleast_2d(pvec)
+    return ((w[:, 0] ** 2 + w[:, 1] ** 2) + w[:, 2] ** 2) + w[:, 3] ** 2
 
 
 def rho_k_state(k: float) -> np.ndarray:
@@ -200,9 +195,6 @@ def same_outcome_probabilities(weights) -> np.ndarray:
 
 # --- test sets ---------------------------------------------------------------
 
-ENTANGLED_THRESHOLD = 1e-12
-
-
 def _state_index(mask: np.ndarray) -> np.ndarray:
     """Positions of the True entries: int32 when every position fits, half
     the memory of intp; ``take`` accepts either and gathers the same values."""
@@ -221,9 +213,12 @@ class TestSet:
     builders make it column-contiguous (the transpose view of a (4, n)
     buffer), so the likelihood kernel streams each weight as one
     contiguous vector; a row-major array gives the same results, slower.
+    ``negativities`` and ``purities`` are computed from the Bell weights
+    (``bell_diagonal_negativity``, ``bell_diagonal_purity``).  Without
+    ``prior_weights`` the prior is uniform.
 
     ``entangled_index`` lists the states with negativity above
-    ``ENTANGLED_THRESHOLD``; ``separable_index`` lists the rest.  The
+    ``linalg.NEGATIVITY_FLOOR``; ``separable_index`` lists the rest.  The
     posterior sums gather through them with ``take``, which is several
     times faster than a boolean mask on an irregular pattern and yields
     the same array.  Both are computed on first use and cached, so
@@ -232,22 +227,28 @@ class TestSet:
 
     model_id: str
     params: np.ndarray
-    negativities: np.ndarray
-    purities: np.ndarray
-    prior_weights: np.ndarray
+    prior_weights: np.ndarray | None = None
     bell_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    negativities: np.ndarray = field(init=False, repr=False, compare=False)
+    purities: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.params)
         if n < 1:
             raise ConfigError("test set must contain at least one state")
-        if self.prior_weights.min() < 0 or abs(self.prior_weights.sum() - 1.0) > 1e-12:
-            raise ConfigError("prior weights must be non-negative and sum to 1")
         if self.model_id == MODEL_TWO_PARAM:
             p, c = self.params[:, 0], self.params[:, 2]
             self.bell_weights = two_param_bell_weights(p, p * c)
         else:
             self.bell_weights = self.params
+        self.negativities = bell_diagonal_negativity(self.bell_weights)
+        self.purities = bell_diagonal_purity(self.bell_weights)
+        # Allocated after the scalars, so that their temporaries do not
+        # stack on top of it.
+        if self.prior_weights is None:
+            self.prior_weights = np.full(n, 1.0 / n)
+        if self.prior_weights.min() < 0 or abs(self.prior_weights.sum() - 1.0) > 1e-12:
+            raise ConfigError("prior weights must be non-negative and sum to 1")
 
     @property
     def n_states(self) -> int:
@@ -255,7 +256,7 @@ class TestSet:
 
     @property
     def entangled(self) -> np.ndarray:
-        return self.negativities > ENTANGLED_THRESHOLD
+        return self.negativities > NEGATIVITY_FLOOR
 
     @cached_property
     def entangled_index(self) -> np.ndarray:
@@ -282,14 +283,7 @@ def grid_prior_two_param(n_p: int, n_sigma: int) -> TestSet:
     pg, sg = np.meshgrid(p_axis, s_axis, indexing="ij")
     cg = np.broadcast_to(c_axis, pg.shape)
     params = np.column_stack([pg.ravel(), sg.ravel(), cg.ravel()])
-    n = len(params)
-    return TestSet(
-        model_id=MODEL_TWO_PARAM,
-        params=params,
-        negativities=two_param_negativity(params[:, 0], params[:, 2]),
-        purities=two_param_purity(params[:, 0], params[:, 2]),
-        prior_weights=np.full(n, 1.0 / n),
-    )
+    return TestSet(model_id=MODEL_TWO_PARAM, params=params)
 
 
 def simplex_prior_bell_diagonal(n: int, seed: int) -> TestSet:
@@ -314,12 +308,5 @@ def simplex_prior_bell_diagonal(n: int, seed: int) -> TestSet:
     np.subtract(b, a, out=w[1])
     np.subtract(c, b, out=w[2])
     np.subtract(1.0, c, out=w[3])
-    params = w.T
-    return TestSet(
-        model_id=MODEL_BELL_DIAGONAL,
-        params=params,
-        negativities=bell_diagonal_negativity(params),
-        purities=((w[0] ** 2 + w[1] ** 2) + w[2] ** 2) + w[3] ** 2,
-        prior_weights=np.full(n, 1.0 / n),
-    )
+    return TestSet(model_id=MODEL_BELL_DIAGONAL, params=w.T)
 

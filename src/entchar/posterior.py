@@ -2,7 +2,7 @@
 
 Every test state is Bell-diagonal, so its likelihood on the five default
 settings depends on the record only through the XX, YY and ZZ
-same/different-outcome counts and the XY + YX total (``bell_log_likelihood``),
+same/different-outcome counts and the total count (``bell_log_likelihood``),
 and the posterior mean state is the Bell-diagonal state of the mean weights.
 ``log_likelihood`` is the generic per-state version for any density matrix.
 
@@ -26,9 +26,6 @@ from . import families, linalg, measurement
 from .errors import ConfigError, DataError
 from .families import TestSet
 
-#: Rows of the default settings where every Bell-diagonal state predicts
-#: 1/4 per outcome (XY, YX).
-_QUARTER_ROWS = [1, 2]
 _LOG_2 = np.log(2.0)
 _LOG_QUARTER = np.log(0.25)
 #: Below this argument np.exp returns a subnormal number (or 0).
@@ -80,8 +77,9 @@ def bell_log_likelihood(weights, rec) -> np.ndarray:
 
     Each state predicts s/2 for the two same outcomes and (1-s)/2 for the
     two different outcomes of XX, YY and ZZ, and 1/4 for every XY and YX
-    outcome.  An observed zero-probability outcome gives -inf.  ``rec`` is
-    a MeasurementRecord or a FrequencyTable.
+    outcome, whose total is every count outside XX, YY and ZZ.  An observed
+    zero-probability outcome gives -inf.  ``rec`` is a MeasurementRecord or
+    a FrequencyTable.
     """
     same, diff = measurement.same_different_counts(rec)
     s = families.same_outcome_probabilities(weights)
@@ -95,7 +93,8 @@ def bell_log_likelihood(weights, rec) -> np.ndarray:
             if diff[j] > 0:
                 np.negative(s[:, j], out=term)
                 ll += np.multiply(np.log1p(term, out=term), diff[j], out=term)
-    n_split, n_quarter = float(same.sum() + diff.sum()), float(rec.counts[_QUARTER_ROWS].sum())
+    n_split = float(same.sum() + diff.sum())
+    n_quarter = float(rec.counts.sum() - same.sum() - diff.sum())
     ll += n_quarter * _LOG_QUARTER - n_split * _LOG_2
     return ll
 
@@ -152,16 +151,17 @@ def summarize(ts: TestSet, post: Posterior) -> EstimateSummary:
 
     ``prob_entangled`` sums the weights gathered through the test set's
     cached entangled index; every field is a Python float.  The moments
-    are BLAS dot products, so their last bit can depend on the BLAS
-    thread count.
+    are einsum sums of products, which need no squared temporaries and,
+    unlike BLAS dot products, do not depend on the BLAS thread count.
     """
     w = post.weights
     if len(w) != ts.n_states:
         raise ConfigError("posterior does not match the test set")
-    neg_mean = float(w @ ts.negativities)
-    neg_var = max(0.0, float(w @ ts.negativities**2) - neg_mean**2)
-    pur_mean = float(w @ ts.purities)
-    pur_var = max(0.0, float(w @ ts.purities**2) - pur_mean**2)
+    neg, pur = ts.negativities, ts.purities
+    neg_mean = float(np.einsum("i,i->", w, neg))
+    neg_var = max(0.0, float(np.einsum("i,i,i->", w, neg, neg)) - neg_mean**2)
+    pur_mean = float(np.einsum("i,i->", w, pur))
+    pur_var = max(0.0, float(np.einsum("i,i,i->", w, pur, pur)) - pur_mean**2)
     return EstimateSummary(
         prob_entangled=float(w.take(ts.entangled_index).sum()),
         neg_mean=neg_mean,
@@ -202,8 +202,8 @@ def mean_state(ts: TestSet, post: Posterior) -> np.ndarray:
     w = post.weights
     if len(w) != ts.n_states:
         raise ConfigError("posterior does not match the test set")
-    rho = families.bell_diagonal_state(w @ ts.bell_weights)
-    neg, bound = linalg.negativity(rho), float(w @ ts.negativities)
+    rho = families.bell_diagonal_state(np.einsum("i,ij->j", w, ts.bell_weights))
+    neg, bound = linalg.negativity(rho), float(np.einsum("i,i->", w, ts.negativities))
     if neg > bound + 1e-9:
         raise ConfigError(
             f"mean-state negativity {neg:.6g} exceeds the posterior mean negativity {bound:.6g}"

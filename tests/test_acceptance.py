@@ -151,7 +151,7 @@ def test_criterion_5_mixture_model_selection(capsys, grid600, bell_diag_1m):
     bd_bic = np.median([r.delta_omega_bd_primed for r in reports])
     tp_aic = np.median([r.delta_omega for r in reports])
     overfit = np.median([
-        criteria.log_l_full_bound(measurement.frequencies(rec), rec)
+        criteria.log_l_full_bound(measurement.frequencies(rec))
         - posterior.log_likelihood(rec, rho1)
         for rec in records])
     bd_aic_exact = criteria.compare(expected_record(rho1, 1000)).delta_omega_bd
@@ -212,7 +212,7 @@ def test_criterion_6_property_suite(capsys):
     ) < 1e-9
     c.check("closed-form vs direct likelihood equality (1e-9)", ok_bd and ok_tp)
 
-    l_full = criteria.log_l_full_bound(freq, joint)
+    l_full = criteria.log_l_full_bound(freq)
     l_bd = scores["bell_diag"].log_l
     l_tp = scores["two_param"].log_l
     c.check("model-nesting inequality L_a >= L_Bd >= L_{p,sigma}",

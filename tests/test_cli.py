@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -55,6 +59,35 @@ class TestSimulate:
     def test_usage_error(self):
         assert run(["simulate", "--bogus"]) == 1
 
+    @pytest.mark.parametrize("state,flags", [
+        ("rho1", ["--p", "7", "--k", "-3"]),
+        ("rho2", ["--sigma", "0.4"]),
+        ("two-param", ["--p", "0.4", "--sigma", "0.4", "--k", "0.5"]),
+        ("two-param", ["--p", "0.4"]),
+        ("rho-k", ["--k", "0.7", "--p", "0.4"]),
+        ("rho-k", []),
+    ])
+    def test_flags_must_match_the_state(self, tmp_path, capsys, state, flags):
+        out = tmp_path / "x.json"
+        code = run(["simulate", "--state", state, *flags, "--shots", "5", "--seed", "0",
+                    "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"entchar: config error: --state {state} ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("state,flags,label", [
+        ("two-param", ["--p", "0.4", "--sigma", "0.4"], "two-param p=0.4 sigma=0.4"),
+        ("rho-k", ["--k", "0.7"], "rho-k k=0.7"),
+        ("rho1", [], "rho1"),
+    ])
+    def test_record_label(self, tmp_path, state, flags, label):
+        out = tmp_path / "x.json"
+        assert run(["simulate", "--state", state, *flags, "--shots", "5", "--seed", "0",
+                    "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["meta"]["label"] == label
+
     @pytest.mark.parametrize("flag,value", [("--shots", "-5"), ("--seed", "-1")])
     def test_negative_shots_or_seed(self, tmp_path, capsys, flag, value):
         argv = {"--shots": "10", "--seed": "0", flag: value}
@@ -84,6 +117,26 @@ class TestSimulate:
 
 
 class TestCharacterize:
+    def test_replay_does_not_depend_on_blas_threads(self, tmp_path):
+        # A BLAS dot product splits its sum across threads, so a moment
+        # computed by one would change in its last bit with the thread count.
+        rec = tmp_path / "rec.json"
+        assert run(["simulate", "--state", "rho1", "--shots", "1000", "--seed", "7",
+                    "--out", str(rec)]) == 0
+        src = str(Path(cli.__file__).resolve().parents[1])
+        docs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"res-{threads}.json"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            subprocess.run([sys.executable, "-m", "entchar.cli", "characterize", "--record",
+                            str(rec), "--prior", "bell-diag", "--samples", "20000", "--seed", "1",
+                            "--out", str(out)], env=env, check=True, capture_output=True)
+            doc = json.loads(out.read_text())
+            doc.pop("duration_s")
+            docs.append(doc)
+        assert docs[0] == docs[1]
+
     def test_result_document(self, tmp_path, record_path):
         out = tmp_path / "res.json"
         code = run(["characterize", "--record", str(record_path), "--prior", "two-param",

@@ -226,6 +226,18 @@ class TestSimplexPrior:
         assert np.array_equal(ts.purities, purities)
 
 
+def test_test_set_from_bell_weights_alone():
+    # Dirichlet rows plus the four vertices: the scalars come from the
+    # Bell weights, and the prior is uniform when none is given.
+    params = np.vstack([np.random.default_rng(6).dirichlet(np.ones(4), size=40), np.eye(4)])
+    ts = families.TestSet(model_id=families.MODEL_BELL_DIAGONAL, params=params)
+    assert np.array_equal(ts.prior_weights, np.full(44, 1.0 / 44))
+    for i in range(ts.n_states):
+        rho = ts.state(i)
+        assert abs(ts.negativities[i] - linalg.negativity(rho)) <= 1e-12
+        assert abs(ts.purities[i] - linalg.purity(rho)) <= 1e-12
+
+
 @pytest.mark.parametrize(
     "build",
     [lambda: families.grid_prior_two_param(7, 9),
@@ -254,15 +266,7 @@ class TestLikelihoodKernel:
         if ts.model_id == families.MODEL_TWO_PARAM:
             return ts
         # Append the four Bell vertices, which give probability 0 to some outcomes.
-        params = np.vstack([ts.params, np.eye(4)])
-        n = len(params)
-        return families.TestSet(
-            model_id=ts.model_id,
-            params=params,
-            negativities=families.bell_diagonal_negativity(params),
-            purities=(params**2).sum(axis=1),
-            prior_weights=np.full(n, 1.0 / n),
-        )
+        return families.TestSet(model_id=ts.model_id, params=np.vstack([ts.params, np.eye(4)]))
 
     @staticmethod
     def impossible_record():

@@ -15,16 +15,9 @@ def make_record(counts):
 
 def bell_diag_set(params, weights=None):
     params = np.atleast_2d(np.asarray(params, dtype=float))
-    n = len(params)
-    if weights is None:
-        weights = np.full(n, 1.0 / n)
-    return families.TestSet(
-        model_id="bell_diag",
-        params=params,
-        negativities=families.bell_diagonal_negativity(params),
-        purities=(params**2).sum(axis=1),
-        prior_weights=np.asarray(weights, dtype=float),
-    )
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)
+    return families.TestSet(model_id="bell_diag", params=params, prior_weights=weights)
 
 
 class TestLogLikelihood:
