@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import re
 import sys
 import time
 
@@ -25,7 +26,15 @@ from .errors import ConfigError, EntcharError
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that exits with code 1 on usage errors (2 is for data errors)."""
+    """ArgumentParser that exits with code 1 on usage errors (2 is for data errors)
+    and reads every negative float spelling, such as -1e5 or -inf, as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern takes -1e5, -inf and -nan for option names.
+        # Every negative float spelling starts with '-' and then a digit,
+        # '.digit', 'inf' or 'nan'; subparsers are built by this class too.
+        self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -103,34 +112,34 @@ def _build_prior(args):
     raise ConfigError(f"unknown prior {args.prior!r}")
 
 
-def _histogram_dict(hist: posterior.Histogram) -> dict:
-    return {
-        "bin_edges": [float(x) for x in hist.bin_edges],
-        "bin_mass": [float(x) for x in hist.bin_mass],
-        "separable_mass": hist.separable_mass,
-    }
-
-
-def _write_result(path, config, summary=None, histogram=None, comparison=None, started=None):
+def _write_result(path, config, started, summary=None, histogram=None, comparison=None):
     doc = {
         "config": config,
         "summary": summary,
         "histogram": histogram,
         "comparison": comparison,
         "version": __version__,
-        "duration_s": round(time.monotonic() - started, 6) if started is not None else None,
+        "duration_s": round(time.monotonic() - started, 6),
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-    return doc
 
 
-def _write_histogram_csv(path, hist: posterior.Histogram):
+def _write_histogram(args, config, started, hist: posterior.Histogram, summary=None):
+    """Write a histogram to --out as --format asks: a csv table or a result document."""
+    if args.format == "doc":
+        histogram = {
+            "bin_edges": [float(x) for x in hist.bin_edges],
+            "bin_mass": [float(x) for x in hist.bin_mass],
+            "separable_mass": hist.separable_mass,
+        }
+        _write_result(args.out, config, started, summary=summary, histogram=histogram)
+        return
     lines = [f"# separable_mass={float(hist.separable_mass)!r}", "bin_low,bin_high,mass"]
     for lo, hi, mass in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.bin_mass):
         lines.append(f"{float(lo)!r},{float(hi)!r},{float(mass)!r}")
-    with open(path, "w") as fh:
+    with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -166,11 +175,7 @@ def cmd_characterize(args) -> int:
             "purity": linalg.purity(rho_bar),
         },
     }
-    if args.format == "csv":
-        _write_histogram_csv(args.out, hist)
-    else:
-        _write_result(args.out, config, summary=summary_doc,
-                      histogram=_histogram_dict(hist), started=started)
+    _write_histogram(args, config, started, hist, summary=summary_doc)
     print(
         f"prob_entangled = {summary.prob_entangled:.4f}  "
         f"N = {summary.neg_mean:.4f} +/- {summary.neg_std:.4f}  "
@@ -184,7 +189,7 @@ def cmd_compare(args) -> int:
     rec = measurement.load_record(args.record)
     report = criteria.compare(rec)
     config = {"command": "compare", "record": str(args.record)}
-    _write_result(args.out, config, comparison=dataclasses.asdict(report), started=started)
+    _write_result(args.out, config, started, comparison=dataclasses.asdict(report))
     print(
         f"delta_omega = {report.delta_omega:.3f}  delta_omega' = {report.delta_omega_primed:.3f}  "
         f"winners: AIC={report.winner_aic} BIC={report.winner_bic}"
@@ -202,10 +207,7 @@ def cmd_prior_hist(args) -> int:
         "bins": args.bins,
         "format": args.format,
     }
-    if args.format == "csv":
-        _write_histogram_csv(args.out, hist)
-    else:
-        _write_result(args.out, config, histogram=_histogram_dict(hist), started=started)
+    _write_histogram(args, config, started, hist)
     print(f"separable_mass = {hist.separable_mass:.4f} over {ts.n_states} states")
     return 0
 

@@ -7,11 +7,12 @@ Two families back the priors used for Bayesian updating:
   Gaussian phase distribution of width sigma truncated to [-pi, pi];
 * Bell-diagonal states sum_i p_i |Phi_i><Phi_i|.
 
-Both are Bell-diagonal, so every state is described by four Bell weights
-(``TestSet.bell_weights``).  On the five default settings those weights
-predict 1/4 for every XY and YX outcome, and split the XX, YY and ZZ
-outcomes by three same-outcome probabilities that are linear in the
-weights (``same_outcome_probabilities``).  Likelihoods and mean states
+Both are Bell-diagonal, so every state is described by four Bell weights,
+and a test set is those weights and a prior over them (``TestSet``).  On
+the five default settings those weights predict 1/4 for every XY and YX
+outcome, and split the XX, YY and ZZ outcomes by three same-outcome
+probabilities that are linear in the weights
+(``same_outcome_probabilities``).  Likelihoods and mean states
 are therefore computed from four numbers per state, and ``TestSet``
 caches negativity and purity from their closed forms in those weights.
 
@@ -33,9 +34,6 @@ from scipy.special import erf, wofz
 
 from .errors import ConfigError
 from .linalg import NEGATIVITY_FLOOR
-
-MODEL_TWO_PARAM = "two_param"
-MODEL_BELL_DIAGONAL = "bell_diag"
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -85,19 +83,15 @@ def coherence_factor(sigma: float) -> float:
     return float(num.real / erf(x))
 
 
-def _two_param_matrix(p: float, c: float) -> np.ndarray:
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = rho[3, 3] = (1.0 + p) / 4.0
-    rho[1, 1] = rho[2, 2] = (1.0 - p) / 4.0
-    rho[0, 3] = rho[3, 0] = p * c / 2.0
-    return rho
-
-
 def two_param_state(p: float, sigma: float) -> np.ndarray:
     """rho_{p,sigma}: phase-noisy Bell state mixed with white noise."""
     if not 0.0 <= p <= 1.0:
         raise ConfigError(f"p must be in [0, 1], got {p}")
-    return _two_param_matrix(p, coherence_factor(sigma))
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[0, 0] = rho[3, 3] = (1.0 + p) / 4.0
+    rho[1, 1] = rho[2, 2] = (1.0 - p) / 4.0
+    rho[0, 3] = rho[3, 0] = p * coherence_factor(sigma) / 2.0
+    return rho
 
 
 def two_param_bell_weights(p, b) -> np.ndarray:
@@ -204,18 +198,18 @@ def _state_index(mask: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TestSet:
-    """Finite prior over candidate states with cached per-state scalars.
+    """Finite prior over candidate states, each given by its four Bell weights.
 
-    ``params`` rows are (p, sigma, c) for the two-parameter family and
-    (p1, p2, p3, p4) for the Bell-diagonal family.  ``bell_weights`` holds
-    every state's four Bell weights, (n, 4): ``params`` itself for the
-    Bell-diagonal family, computed once from (p, p*c) otherwise.  Both
-    builders make it column-contiguous (the transpose view of a (4, n)
-    buffer), so the likelihood kernel streams each weight as one
-    contiguous vector; a row-major array gives the same results, slower.
-    ``negativities`` and ``purities`` are computed from the Bell weights
+    ``bell_weights`` is (n, 4), one state per row.  The builders make it
+    column-contiguous (the transpose view of a (4, n) buffer), so the
+    likelihood kernel streams each weight as one contiguous vector; a
+    row-major array gives the same results, slower.  ``negativities`` and
+    ``purities`` are computed from the Bell weights
     (``bell_diagonal_negativity``, ``bell_diagonal_purity``).  Without
-    ``prior_weights`` the prior is uniform.
+    ``prior_weights`` the prior is uniform; given ones must have one
+    non-negative entry per state and sum to 1 within 1e-12, so a NaN or
+    infinite entry is refused.  A sequential update starts from the last
+    posterior: ``TestSet(ts.bell_weights, post.weights)``.
 
     ``entangled_index`` lists the states with negativity above
     ``linalg.NEGATIVITY_FLOOR``; ``separable_index`` lists the rest.  The
@@ -225,34 +219,31 @@ class TestSet:
     ``negativities`` must not be modified after that.
     """
 
-    model_id: str
-    params: np.ndarray
+    bell_weights: np.ndarray
     prior_weights: np.ndarray | None = None
-    bell_weights: np.ndarray = field(init=False, repr=False, compare=False)
     negativities: np.ndarray = field(init=False, repr=False, compare=False)
     purities: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = len(self.params)
+        n = len(self.bell_weights)
         if n < 1:
             raise ConfigError("test set must contain at least one state")
-        if self.model_id == MODEL_TWO_PARAM:
-            p, c = self.params[:, 0], self.params[:, 2]
-            self.bell_weights = two_param_bell_weights(p, p * c)
-        else:
-            self.bell_weights = self.params
         self.negativities = bell_diagonal_negativity(self.bell_weights)
         self.purities = bell_diagonal_purity(self.bell_weights)
         # Allocated after the scalars, so that their temporaries do not
         # stack on top of it.
         if self.prior_weights is None:
             self.prior_weights = np.full(n, 1.0 / n)
-        if self.prior_weights.min() < 0 or abs(self.prior_weights.sum() - 1.0) > 1e-12:
+        prior = self.prior_weights = np.asarray(self.prior_weights, dtype=float)
+        if len(prior) != n:
+            raise ConfigError(f"prior weights have {len(prior)} entries for {n} states")
+        # Written so that a NaN entry fails the test.
+        if not (prior.min() >= 0 and abs(prior.sum() - 1.0) <= 1e-12):
             raise ConfigError("prior weights must be non-negative and sum to 1")
 
     @property
     def n_states(self) -> int:
-        return len(self.params)
+        return len(self.bell_weights)
 
     @property
     def entangled(self) -> np.ndarray:
@@ -266,24 +257,20 @@ class TestSet:
     def separable_index(self) -> np.ndarray:
         return _state_index(~self.entangled)
 
-    def state(self, i: int) -> np.ndarray:
-        if self.model_id == MODEL_TWO_PARAM:
-            p, _, c = self.params[i]
-            return _two_param_matrix(p, c)
-        return bell_diagonal_state(self.params[i])
-
 
 def grid_prior_two_param(n_p: int, n_sigma: int) -> TestSet:
-    """Uniform (p, sigma) grid over [0,1] x [0,pi], both endpoints included."""
+    """Uniform (p, sigma) grid over [0,1] x [0,pi], both endpoints included.
+
+    State i is rho_{p,sigma} at p = p_axis[i // n_sigma] and
+    sigma = sigma_axis[i % n_sigma], where the axes are
+    ``np.linspace(0, 1, n_p)`` and ``np.linspace(0, pi, n_sigma)``.
+    """
     if n_p < 2 or n_sigma < 2:
         raise ConfigError(f"grid must be at least 2x2, got {n_p}x{n_sigma}")
     p_axis = np.linspace(0.0, 1.0, n_p)
-    s_axis = np.linspace(0.0, np.pi, n_sigma)
-    c_axis = np.array([coherence_factor(s) for s in s_axis])
-    pg, sg = np.meshgrid(p_axis, s_axis, indexing="ij")
-    cg = np.broadcast_to(c_axis, pg.shape)
-    params = np.column_stack([pg.ravel(), sg.ravel(), cg.ravel()])
-    return TestSet(model_id=MODEL_TWO_PARAM, params=params)
+    c_axis = np.array([coherence_factor(s) for s in np.linspace(0.0, np.pi, n_sigma)])
+    p = np.repeat(p_axis, n_sigma)
+    return TestSet(two_param_bell_weights(p, p * np.tile(c_axis, n_p)))
 
 
 def simplex_prior_bell_diagonal(n: int, seed: int) -> TestSet:
@@ -292,8 +279,8 @@ def simplex_prior_bell_diagonal(n: int, seed: int) -> TestSet:
     Uses sorted-uniform spacings, which are exactly uniform on the simplex;
     deterministic for a given seed.  Each row of three uniforms is sorted
     by a min/max compare-exchange network on whole columns, and the four
-    spacings are written into a (4, n) buffer whose transpose is
-    ``params``; the values equal a row-wise ``np.sort`` and ``np.diff``.
+    spacings are written into a (4, n) buffer whose transpose is the
+    Bell weights; the values equal a row-wise ``np.sort`` and ``np.diff``.
     """
     if n < 1:
         raise ConfigError(f"sample count must be >= 1, got {n}")
@@ -308,5 +295,5 @@ def simplex_prior_bell_diagonal(n: int, seed: int) -> TestSet:
     np.subtract(b, a, out=w[1])
     np.subtract(c, b, out=w[2])
     np.subtract(1.0, c, out=w[3])
-    return TestSet(model_id=MODEL_BELL_DIAGONAL, params=w.T)
+    return TestSet(w.T)
 

@@ -37,7 +37,6 @@ class Posterior:
     """Normalized weights over a test set, index-aligned with it."""
 
     weights: np.ndarray
-    record: measurement.MeasurementRecord
 
 
 @dataclass
@@ -104,28 +103,18 @@ def log_likelihood_vector(ts: TestSet, rec: measurement.MeasurementRecord) -> np
     return bell_log_likelihood(ts.bell_weights, rec)
 
 
-def update_posterior(
-    ts: TestSet,
-    rec: measurement.MeasurementRecord,
-    prior_weights: np.ndarray | None = None,
-) -> Posterior:
-    """Bayes update: weights proportional to prior * exp(log-likelihood).
+def update_posterior(ts: TestSet, rec: measurement.MeasurementRecord) -> Posterior:
+    """Bayes update: weights proportional to the test set's prior * exp(log-likelihood).
 
     Normalized with a max-shifted exponential sum; summation order is
     fixed, so results are deterministic across runs.  Shifted
     log-likelihoods below log(tiny) count as an exponential of exactly 0
     (the module's subnormal rule): they are clamped and zeroed before
     ``np.exp`` and their weights zeroed after, so numpy runs its unmasked
-    loop and never its slow subnormal path.
-    An override ``prior_weights`` with a non-finite or negative entry
-    raises ConfigError; the test set's own prior is checked when the test
-    set is built.
+    loop and never its slow subnormal path.  The prior was checked when
+    the test set was built; to update sequentially, build the next test set
+    as ``TestSet(ts.bell_weights, post.weights)``.
     """
-    prior = ts.prior_weights if prior_weights is None else np.asarray(prior_weights)
-    if len(prior) != ts.n_states:
-        raise ConfigError("prior weights do not match the test set")
-    if prior_weights is not None and not (np.isfinite(prior).all() and prior.min() >= 0):
-        raise ConfigError("prior weights must be finite and non-negative")
     ll = log_likelihood_vector(ts, rec)
     shift = ll.max()
     if not np.isfinite(shift):
@@ -138,12 +127,12 @@ def update_posterior(
     ll *= keep
     w = np.exp(ll, out=ll)
     w *= keep
-    w *= prior
+    w *= ts.prior_weights
     total = w.sum()
     if total <= 0.0:
         raise DataError("posterior mass vanished after the update")
     w /= total
-    return Posterior(weights=w, record=rec)
+    return Posterior(weights=w)
 
 
 def summarize(ts: TestSet, post: Posterior) -> EstimateSummary:

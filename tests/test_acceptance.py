@@ -192,7 +192,7 @@ def test_criterion_6_property_suite(capsys):
     post_a = posterior.update_posterior(ts, rec_a)
     c.check("posterior normalization", abs(post_a.weights.sum() - 1.0) < 1e-10)
 
-    seq = posterior.update_posterior(ts, rec_b, prior_weights=post_a.weights)
+    seq = posterior.update_posterior(families.TestSet(ts.bell_weights, post_a.weights), rec_b)
     batch = posterior.update_posterior(ts, joint)
     c.check("sequential-update consistency (1e-9)",
             np.max(np.abs(seq.weights - batch.weights)) < 1e-9)
@@ -223,9 +223,10 @@ def test_criterion_6_property_suite(capsys):
             linalg.negativity(rho_bar) <= float(batch.weights @ ts.negativities) + 1e-9)
 
     ts50 = families.grid_prior_two_param(50, 50)
+    nodes = [(p, s) for p in np.linspace(0.0, 1.0, 50) for s in np.linspace(0.0, np.pi, 50)]
     c.check("two-param analytic negativity vs eigensolver, 50x50 grid (1e-9)",
-            all(abs(ts50.negativities[i] - linalg.negativity(ts50.state(i))) < 1e-9
-                for i in range(ts50.n_states)))
+            all(abs(neg - linalg.negativity(families.two_param_state(p, s))) < 1e-9
+                for neg, (p, s) in zip(ts50.negativities, nodes, strict=True)))
 
     rng = np.random.default_rng(0)
     ok_pt = True

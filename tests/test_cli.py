@@ -108,6 +108,25 @@ class TestSimulate:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [("--p", "-1e5", "p must be in [0, 1], got -100000.0"),
+         ("--p", "-nan", "p must be in [0, 1], got nan"),
+         ("--sigma", "-inf", "sigma must be finite, got -inf"),
+         ("--sigma", "-1E-3", "sigma must be >= 0, got -0.001"),
+         ("--sigma", "-Infinity", "sigma must be finite, got -inf")],
+        ids=["p-1e5", "p-nan", "sigma-inf", "sigma-1E-3", "sigma-Infinity"],
+    )
+    def test_negative_float_spellings_are_values(self, tmp_path, capsys, flag, value, message):
+        # Spelt as a separate word, not --flag=value: each reaches the domain check.
+        values = {"--p": "0.4", "--sigma": "0.4", flag: value}
+        out = tmp_path / "x.json"
+        code = run(["simulate", "--state", "two-param", *[x for kv in values.items() for x in kv],
+                    "--shots", "10", "--seed", "0", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"entchar: config error: {message}\n"
+        assert not out.exists()
+
     def test_subnormal_sigma_is_the_noiseless_limit(self, tmp_path):
         tiny, zero = tmp_path / "tiny.json", tmp_path / "zero.json"
         for sigma, out in (("1e-320", tiny), ("0", zero)):

@@ -18,6 +18,12 @@ def simpson_coherence(sigma, n=200_001):
     return num / den
 
 
+def grid_node_states(n_p, n_sigma):
+    """two_param_state at each node of grid_prior_two_param(n_p, n_sigma), in its order."""
+    return [families.two_param_state(p, s)
+            for p in np.linspace(0.0, 1.0, n_p) for s in np.linspace(0.0, np.pi, n_sigma)]
+
+
 class TestBellStates:
     def test_all_pure_and_maximally_entangled(self):
         for i in (1, 2, 3, 4):
@@ -96,15 +102,13 @@ class TestTwoParamFamily:
 
     def test_analytic_negativity_matches_eigensolver_on_grid(self):
         ts = families.grid_prior_two_param(50, 50)
-        for i in range(ts.n_states):
-            assert ts.negativities[i] == pytest.approx(
-                linalg.negativity(ts.state(i)), abs=1e-9
-            )
+        for i, rho in enumerate(grid_node_states(50, 50)):
+            assert ts.negativities[i] == pytest.approx(linalg.negativity(rho), abs=1e-9)
 
     def test_analytic_purity_matches_direct(self):
         ts = families.grid_prior_two_param(12, 12)
-        for i in range(ts.n_states):
-            assert ts.purities[i] == pytest.approx(linalg.purity(ts.state(i)), abs=1e-12)
+        for i, rho in enumerate(grid_node_states(12, 12)):
+            assert ts.purities[i] == pytest.approx(linalg.purity(rho), abs=1e-12)
 
 
 class TestBellDiagonal:
@@ -169,21 +173,36 @@ class TestGridPrior:
         ts = families.grid_prior_two_param(2, 2)
         assert ts.n_states == 4
         np.testing.assert_allclose(ts.prior_weights, [0.25] * 4)
-        np.testing.assert_allclose(ts.state(0), np.eye(4) / 4.0, atol=1e-14)
+        np.testing.assert_allclose(
+            families.bell_diagonal_state(ts.bell_weights[0]), np.eye(4) / 4.0, atol=1e-14
+        )
 
     def test_too_small(self):
         with pytest.raises(ConfigError):
             families.grid_prior_two_param(1, 5)
 
     def test_all_states_valid(self):
+        # Every node's Bell weights give two_param_state at that node.
         ts = families.grid_prior_two_param(7, 7)
-        for i in range(ts.n_states):
-            linalg.validate_state(ts.state(i))
+        for w, rho in zip(ts.bell_weights, grid_node_states(7, 7), strict=True):
+            state = families.bell_diagonal_state(w)
+            linalg.validate_state(state)
+            np.testing.assert_allclose(state, rho, rtol=0, atol=1e-12)
+
+    def test_sampled_nodes_of_full_grid(self):
+        n = 600
+        ts = families.grid_prior_two_param(n, n)
+        p_axis, s_axis = np.linspace(0.0, 1.0, n), np.linspace(0.0, np.pi, n)
+        corners = [0, n - 1, n * (n - 1), n * n - 1]
+        picks = np.random.default_rng(12).choice(n * n, size=200, replace=False)
+        for i in np.concatenate([corners, picks]):
+            rho = families.two_param_state(p_axis[i // n], s_axis[i % n])
+            np.testing.assert_allclose(families.bell_diagonal_state(ts.bell_weights[i]), rho,
+                                       rtol=0, atol=1e-12)
 
     def test_cached_scalars_match_recomputation(self):
         ts = families.grid_prior_two_param(6, 6)
-        for i in range(ts.n_states):
-            rho = ts.state(i)
+        for i, rho in enumerate(grid_node_states(6, 6)):
             assert ts.negativities[i] == pytest.approx(linalg.negativity(rho), abs=1e-10)
             assert ts.purities[i] == pytest.approx(linalg.purity(rho), abs=1e-10)
 
@@ -191,25 +210,25 @@ class TestGridPrior:
 class TestSimplexPrior:
     def test_single_sample(self):
         ts = families.simplex_prior_bell_diagonal(1, seed=0)
-        assert ts.params.sum() == pytest.approx(1.0, abs=1e-12)
-        linalg.validate_state(ts.state(0))
+        assert ts.bell_weights.sum() == pytest.approx(1.0, abs=1e-12)
+        linalg.validate_state(families.bell_diagonal_state(ts.bell_weights[0]))
 
     def test_deterministic(self):
         a = families.simplex_prior_bell_diagonal(10_000, seed=42)
         b = families.simplex_prior_bell_diagonal(10_000, seed=42)
-        assert np.array_equal(a.params, b.params)
+        assert np.array_equal(a.bell_weights, b.bell_weights)
 
     def test_marginal_means(self):
         n = 100_000
         ts = families.simplex_prior_bell_diagonal(n, seed=9)
         # Dirichlet(1,1,1,1) marginal: mean 1/4, variance 3/80.
         tol = 3.0 * np.sqrt(3.0 / 80.0 / n)
-        np.testing.assert_allclose(ts.params.mean(axis=0), 0.25, atol=tol)
+        np.testing.assert_allclose(ts.bell_weights.mean(axis=0), 0.25, atol=tol)
 
     def test_all_rows_on_simplex(self):
         ts = families.simplex_prior_bell_diagonal(5000, seed=3)
-        assert ts.params.min() >= 0.0
-        np.testing.assert_allclose(ts.params.sum(axis=1), 1.0, atol=1e-12)
+        assert ts.bell_weights.min() >= 0.0
+        np.testing.assert_allclose(ts.bell_weights.sum(axis=1), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 100_000])
     @pytest.mark.parametrize("seed", [0, 5, 2026])
@@ -217,11 +236,11 @@ class TestSimplexPrior:
         # The row-wise formula: sort each row, take spacings, row max and
         # row sum of squares.
         u = np.sort(np.random.default_rng(seed).random((n, 3)), axis=1)
-        params = np.diff(u, axis=1, prepend=0.0, append=1.0)
-        negativities = 2.0 * np.maximum(0.0, params.max(axis=1) - 0.5)
-        purities = (params**2).sum(axis=1)
+        weights = np.diff(u, axis=1, prepend=0.0, append=1.0)
+        negativities = 2.0 * np.maximum(0.0, weights.max(axis=1) - 0.5)
+        purities = (weights**2).sum(axis=1)
         ts = families.simplex_prior_bell_diagonal(n, seed)
-        assert np.array_equal(ts.params, params)
+        assert np.array_equal(ts.bell_weights, weights)
         assert np.array_equal(ts.negativities, negativities)
         assert np.array_equal(ts.purities, purities)
 
@@ -229,13 +248,20 @@ class TestSimplexPrior:
 def test_test_set_from_bell_weights_alone():
     # Dirichlet rows plus the four vertices: the scalars come from the
     # Bell weights, and the prior is uniform when none is given.
-    params = np.vstack([np.random.default_rng(6).dirichlet(np.ones(4), size=40), np.eye(4)])
-    ts = families.TestSet(model_id=families.MODEL_BELL_DIAGONAL, params=params)
+    weights = np.vstack([np.random.default_rng(6).dirichlet(np.ones(4), size=40), np.eye(4)])
+    ts = families.TestSet(weights)
     assert np.array_equal(ts.prior_weights, np.full(44, 1.0 / 44))
     for i in range(ts.n_states):
-        rho = ts.state(i)
+        rho = families.bell_diagonal_state(ts.bell_weights[i])
         assert abs(ts.negativities[i] - linalg.negativity(rho)) <= 1e-12
         assert abs(ts.purities[i] - linalg.purity(rho)) <= 1e-12
+
+
+def test_nan_prior_weight_is_refused():
+    # A NaN passes "min < 0 or |sum - 1| > tol" unnoticed, and an update on
+    # this prior would return NaN weights.
+    with pytest.raises(ConfigError, match="prior weights"):
+        families.TestSet(np.full((3, 4), 0.25), prior_weights=np.array([np.nan, 0.5, 0.5]))
 
 
 @pytest.mark.parametrize(
@@ -254,19 +280,16 @@ def test_bell_weights_are_column_contiguous(build):
 class TestLikelihoodKernel:
     """The Bell-weight likelihood kernel and mean state against per-state oracles."""
 
-    @pytest.fixture(
-        params=[
-            lambda: families.grid_prior_two_param(5, 5),
-            lambda: families.simplex_prior_bell_diagonal(25, seed=1),
-        ],
-        ids=["two_param", "bell_diag"],
-    )
-    def test_set(self, request):
-        ts = request.param()
-        if ts.model_id == families.MODEL_TWO_PARAM:
-            return ts
+    @pytest.fixture(params=["two_param", "bell_diag"])
+    def case(self, request):
+        """A test set and its states' density matrices; the grid's come from
+        two_param_state, not from its Bell weights."""
+        if request.param == "two_param":
+            return families.grid_prior_two_param(5, 5), grid_node_states(5, 5)
         # Append the four Bell vertices, which give probability 0 to some outcomes.
-        return families.TestSet(model_id=ts.model_id, params=np.vstack([ts.params, np.eye(4)]))
+        ts = families.simplex_prior_bell_diagonal(25, seed=1)
+        weights = np.vstack([ts.bell_weights, np.eye(4)])
+        return families.TestSet(weights), [families.bell_diagonal_state(w) for w in weights]
 
     @staticmethod
     def impossible_record():
@@ -281,30 +304,33 @@ class TestLikelihoodKernel:
             return measurement.simulate_record(families.reference_mixture("rho1"), 300, seed=2)
         return self.impossible_record()
 
-    def test_log_likelihood_matches_per_state_oracle(self, test_set, record):
+    def test_log_likelihood_matches_per_state_oracle(self, case, record):
+        test_set, states = case
         ll = posterior.log_likelihood_vector(test_set, record)
-        oracle = np.array([posterior.log_likelihood(record, test_set.state(i))
-                           for i in range(test_set.n_states)])
+        oracle = np.array([posterior.log_likelihood(record, rho) for rho in states])
         np.testing.assert_array_equal(np.isneginf(ll), np.isneginf(oracle))
         finite = np.isfinite(oracle)
         assert finite.any()
         np.testing.assert_allclose(ll[finite], oracle[finite], rtol=0, atol=1e-9)
 
-    def test_bell_vertices_exclude_impossible_outcomes(self, test_set):
+    def test_bell_vertices_exclude_impossible_outcomes(self, case):
+        test_set, _ = case
         ll = posterior.log_likelihood_vector(test_set, self.impossible_record())
         vertices = [i for i in range(test_set.n_states)
                     if np.isclose(test_set.bell_weights[i].max(), 1.0, rtol=0, atol=1e-15)]
         assert vertices
         assert np.isneginf(ll[vertices]).all()
 
-    def test_same_outcome_probabilities_in_unit_interval(self, test_set):
+    def test_same_outcome_probabilities_in_unit_interval(self, case):
+        test_set, _ = case
         s = families.same_outcome_probabilities(test_set.bell_weights)
         assert s.shape == (test_set.n_states, 3)
         assert s.min() >= 0.0 and s.max() <= 1.0
 
-    def test_mean_state_matches_explicit_sum(self, test_set):
+    def test_mean_state_matches_explicit_sum(self, case):
+        test_set, states = case
         w = np.random.default_rng(4).dirichlet(np.ones(test_set.n_states))
-        explicit = sum(wi * test_set.state(i) for i, wi in enumerate(w))
-        rho = posterior.mean_state(test_set, posterior.Posterior(weights=w, record=None))
+        explicit = sum(wi * rho for wi, rho in zip(w, states, strict=True))
+        rho = posterior.mean_state(test_set, posterior.Posterior(weights=w))
         np.testing.assert_allclose(rho, explicit, rtol=0, atol=1e-12)
 

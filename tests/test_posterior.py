@@ -13,11 +13,8 @@ def make_record(counts):
     )
 
 
-def bell_diag_set(params, weights=None):
-    params = np.atleast_2d(np.asarray(params, dtype=float))
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float)
-    return families.TestSet(model_id="bell_diag", params=params, prior_weights=weights)
+def bell_diag_set(bell_weights, prior=None):
+    return families.TestSet(np.atleast_2d(np.asarray(bell_weights, dtype=float)), prior)
 
 
 class TestLogLikelihood:
@@ -38,8 +35,10 @@ class TestLogLikelihood:
         ts = families.grid_prior_two_param(6, 6)
         rec = measurement.simulate_record(families.two_param_state(0.5, 0.3), 200, seed=0)
         ll = posterior.log_likelihood_vector(ts, rec)
+        p_axis, s_axis = np.linspace(0.0, 1.0, 6), np.linspace(0.0, np.pi, 6)
         for i in range(ts.n_states):
-            assert ll[i] == pytest.approx(posterior.log_likelihood(rec, ts.state(i)), abs=1e-9)
+            rho = families.two_param_state(p_axis[i // 6], s_axis[i % 6])
+            assert ll[i] == pytest.approx(posterior.log_likelihood(rec, rho), abs=1e-9)
 
 
 class TestUpdatePosterior:
@@ -64,19 +63,20 @@ class TestUpdatePosterior:
         assert post.weights.min() >= 0.0
 
     def test_prior_weights_override(self):
-        ts = bell_diag_set([[0.5, 0.2, 0.2, 0.1], [0.2, 0.5, 0.1, 0.2]])
+        # A prior given to the test set replaces the uniform one.
+        ts = bell_diag_set([[0.5, 0.2, 0.2, 0.1], [0.2, 0.5, 0.1, 0.2]], [0.9, 0.1])
         rec = make_record([[10, 10, 10, 10]] * 5)
-        post = posterior.update_posterior(ts, rec, prior_weights=np.array([0.9, 0.1]))
+        post = posterior.update_posterior(ts, rec)
         np.testing.assert_allclose(post.weights, [0.9, 0.1], atol=1e-12)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-3])
     def test_prior_weights_override_must_be_finite_and_non_negative(self, bad):
+        # The test set refuses the prior, so no update can run on it.
         ts = families.simplex_prior_bell_diagonal(1000, seed=2)
-        rec = measurement.simulate_record(families.two_param_state(0.4, 0.4), 400, seed=1)
         prior = ts.prior_weights.copy()
         prior[17] = bad
         with pytest.raises(ConfigError):
-            posterior.update_posterior(ts, rec, prior_weights=prior)
+            families.TestSet(ts.bell_weights, prior)
 
     def test_all_states_excluded(self):
         counts = np.zeros((5, 4), dtype=int)
@@ -86,10 +86,8 @@ class TestUpdatePosterior:
             posterior.update_posterior(ts, make_record(counts))
 
     def test_length_mismatch(self):
-        ts = bell_diag_set([[0.25, 0.25, 0.25, 0.25]])
         with pytest.raises(ConfigError):
-            posterior.update_posterior(ts, make_record([[1, 1, 1, 1]] * 5),
-                                       prior_weights=np.array([0.5, 0.5]))
+            bell_diag_set([[0.25, 0.25, 0.25, 0.25]], [0.5, 0.5])
 
     def test_exponential_is_exact_below_underflow(self):
         # 1e5 shots per setting spread the shifted log-likelihoods far
@@ -114,7 +112,8 @@ class TestUpdatePosterior:
         rec_b = measurement.simulate_record(rho, 300, seed=12)
         joint = make_record(rec_a.counts + rec_b.counts)
         post_a = posterior.update_posterior(ts, rec_a)
-        post_ab = posterior.update_posterior(ts, rec_b, prior_weights=post_a.weights)
+        post_ab = posterior.update_posterior(families.TestSet(ts.bell_weights, post_a.weights),
+                                             rec_b)
         post_joint = posterior.update_posterior(ts, joint)
         np.testing.assert_allclose(post_ab.weights, post_joint.weights, atol=1e-9)
 
@@ -137,7 +136,7 @@ class TestUpdatePosterior:
 class TestSummarize:
     def test_two_state_moments(self):
         ts = bell_diag_set([[1.0, 0.0, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25]])
-        post = posterior.Posterior(weights=np.array([0.75, 0.25]), record=None)
+        post = posterior.Posterior(weights=np.array([0.75, 0.25]))
         s = posterior.summarize(ts, post)
         assert s.prob_entangled == pytest.approx(0.75)
         assert s.neg_mean == pytest.approx(0.75)
@@ -146,7 +145,7 @@ class TestSummarize:
 
     def test_separable_set(self):
         ts = bell_diag_set([[0.25, 0.25, 0.25, 0.25], [0.4, 0.2, 0.2, 0.2]])
-        post = posterior.Posterior(weights=np.array([0.5, 0.5]), record=None)
+        post = posterior.Posterior(weights=np.array([0.5, 0.5]))
         s = posterior.summarize(ts, post)
         assert s.prob_entangled == 0.0
         assert s.neg_mean == 0.0
@@ -162,7 +161,7 @@ class TestSummarize:
     def test_length_mismatch(self):
         ts = bell_diag_set([[0.25, 0.25, 0.25, 0.25]])
         with pytest.raises(ConfigError):
-            posterior.summarize(ts, posterior.Posterior(weights=np.ones(3) / 3, record=None))
+            posterior.summarize(ts, posterior.Posterior(weights=np.ones(3) / 3))
 
 
 @pytest.fixture(scope="module", params=["bell_diag_1e5", "grid_60x60"])
@@ -249,7 +248,7 @@ class TestHistogram:
             got = posterior.histogram_negativity(ts, one, n_bins).bin_mass
             want, _ = np.histogram(ts.negativities[ent], bins=edges, weights=one[ent])
             assert np.array_equal(got, want)
-        prob_entangled = posterior.summarize(ts, posterior.Posterior(weights, None)).prob_entangled
+        prob_entangled = posterior.summarize(ts, posterior.Posterior(weights)).prob_entangled
         assert hist.bin_mass.sum() == pytest.approx(prob_entangled, abs=1e-12)
 
     def test_length_mismatch(self):
@@ -261,7 +260,7 @@ class TestHistogram:
 class TestMeanState:
     def test_equal_mix_of_two_bell_states(self):
         ts = bell_diag_set([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
-        post = posterior.Posterior(weights=np.array([0.5, 0.5]), record=None)
+        post = posterior.Posterior(weights=np.array([0.5, 0.5]))
         np.testing.assert_allclose(
             posterior.mean_state(ts, post),
             families.bell_diagonal_state([0.5, 0.5, 0.0, 0.0]),
@@ -280,11 +279,11 @@ class TestMeanState:
         # Cached negativities that understate the states' own break the bound.
         ts = bell_diag_set([[1.0, 0.0, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25]])
         ts.negativities = np.zeros(2)
-        post = posterior.Posterior(weights=np.array([0.5, 0.5]), record=None)
+        post = posterior.Posterior(weights=np.array([0.5, 0.5]))
         with pytest.raises(ConfigError):
             posterior.mean_state(ts, post)
 
     def test_length_mismatch(self):
         ts = bell_diag_set([[0.25, 0.25, 0.25, 0.25]])
         with pytest.raises(ConfigError):
-            posterior.mean_state(ts, posterior.Posterior(weights=np.ones(2) / 2, record=None))
+            posterior.mean_state(ts, posterior.Posterior(weights=np.ones(2) / 2))
