@@ -18,7 +18,7 @@ Three models are compared on a five-setting correlation record:
   mixing weight).  The constrained maximizer is still closed-form.
 
 Both fits read the XX, YY and ZZ same/different-outcome counts
-(``measurement.same_different_counts``), so each setting weighs by its
+(``posterior.same_different_counts``), so each setting weighs by its
 shots.  Both restricted models are scored at their fitted Bell weights by
 the posterior module's likelihood kernel, so the posterior and the model
 comparison share one likelihood and its no-multinomial-coefficient
@@ -74,7 +74,7 @@ def fit_bell_diagonal(freq: FrequencyTable):
     and ``closed_form`` is False.  The likelihood is concave, so that face
     maximum is the global one.
     """
-    same, diff = measurement.same_different_counts(freq)
+    same, diff = posterior.same_different_counts(freq)
     s_xx, s_yy, s_zz = same / (same + diff)
     p = np.array(
         [
@@ -91,7 +91,7 @@ def fit_bell_diagonal(freq: FrequencyTable):
     return faces[np.argmax(posterior.bell_log_likelihood(faces, freq))], False
 
 
-_SAME = families.SAME_OUTCOME_MAP.astype(bool)
+_SAME = posterior.SAME_OUTCOME_MAP.astype(bool)
 #: _PARTNER[m, j] is the other Bell weight whose entry in column j of
 #: SAME_OUTCOME_MAP equals weight m's.  On the face p_m = 0, setting j's
 #: same-outcome probability is that weight, if the entry is 1, or one minus
@@ -152,7 +152,7 @@ def fit_two_param(freq: FrequencyTable):
     b = p face, which pools all three settings and is itself closed-form.
     ``closed_form`` is True for the unconstrained case only.
     """
-    (s_xx, s_yy, s_zz), (d_xx, d_yy, d_zz) = measurement.same_different_counts(freq)
+    (s_xx, s_yy, s_zz), (d_xx, d_yy, d_zz) = posterior.same_different_counts(freq)
     up, down = s_xx + d_yy, d_xx + s_yy
     p_un = float(np.clip((s_zz - d_zz) / (s_zz + d_zz), 0.0, 1.0))
     b_un = float(np.clip((up - down) / (up + down), 0.0, 1.0))

@@ -8,22 +8,19 @@ Two families back the priors used for Bayesian updating:
 * Bell-diagonal states sum_i p_i |Phi_i><Phi_i|.
 
 Both are Bell-diagonal, so every state is described by four Bell weights,
-and a test set is those weights and a prior over them (``TestSet``).  On
-the five default settings those weights predict 1/4 for every XY and YX
-outcome, and split the XX, YY and ZZ outcomes by three same-outcome
-probabilities that are linear in the weights
-(``same_outcome_probabilities``).  Likelihoods and mean states
-are therefore computed from four numbers per state, and ``TestSet``
-caches negativity and purity from their closed forms in those weights.
+and a test set is those weights and a prior over them (``TestSet``).
+Likelihoods and mean states are therefore computed from four numbers per
+state, and ``TestSet`` caches negativity and purity from their closed
+forms in those weights.
 
 The builders store the Bell weights column-contiguously: an (n, 4) array
 that is the transpose view of a (4, n) buffer, so each weight
 ``w[:, k]`` is one contiguous vector.  The per-state arithmetic (spacings,
-negativity, purity, same-outcome probabilities, log-likelihood) is
-written as elementwise operations on those columns, because numpy reduces
-along a short row axis, or gathers strided columns, several times slower
-than it streams a contiguous vector.  Every function still accepts any
-(n, 4) layout.
+negativity, purity, and the posterior module's log-likelihood) is written
+as elementwise operations on those columns, because numpy reduces along a
+short row axis, or gathers strided columns, several times slower than it
+streams a contiguous vector.  Every function still accepts any (n, 4)
+layout.
 """
 
 from dataclasses import dataclass, field
@@ -158,35 +155,6 @@ def reference_mixture(which: str) -> np.ndarray:
     return 0.53 * np.outer(psi, psi.conj()) + 0.47 * np.outer(phi, phi.conj())
 
 
-#: Same-outcome probability of the XX, YY and ZZ settings (columns) under
-#: each Bell projector |Phi_1>..|Phi_4| (rows); linear in the Bell weights.
-SAME_OUTCOME_MAP = np.array(
-    [
-        [1.0, 0.0, 1.0],
-        [0.0, 1.0, 1.0],
-        [1.0, 1.0, 0.0],
-        [0.0, 0.0, 0.0],
-    ]
-)
-
-
-#: The two Bell weights that sum to each setting's same-outcome probability.
-_SAME_OUTCOME_PAIRS = [tuple(np.flatnonzero(col)) for col in SAME_OUTCOME_MAP.T]
-
-
-def same_outcome_probabilities(weights) -> np.ndarray:
-    """XX, YY and ZZ same-outcome probabilities (n, 3) for rows of Bell weights.
-
-    Each is the sum of two weight columns, ``weights @ SAME_OUTCOME_MAP``
-    without its exact zero terms; returned column-contiguous.
-    """
-    w = np.asarray(weights, dtype=float)
-    s = np.empty((3, len(w)))
-    for row, (i, k) in zip(s, _SAME_OUTCOME_PAIRS):
-        np.add(w[:, i], w[:, k], out=row)
-    return np.clip(s, 0.0, 1.0, out=s).T
-
-
 # --- test sets ---------------------------------------------------------------
 
 def _state_index(mask: np.ndarray) -> np.ndarray:
@@ -200,11 +168,12 @@ def _state_index(mask: np.ndarray) -> np.ndarray:
 class TestSet:
     """Finite prior over candidate states, each given by its four Bell weights.
 
-    ``bell_weights`` is (n, 4), one state per row.  The builders make it
-    column-contiguous (the transpose view of a (4, n) buffer), so the
-    likelihood kernel streams each weight as one contiguous vector; a
-    row-major array gives the same results, slower.  ``negativities`` and
-    ``purities`` are computed from the Bell weights
+    ``bell_weights`` is a float (n, 4) array, one state per row; every row
+    must be non-negative and sum to 1 within 1e-12, so NaN and inf fail.
+    The builders make it column-contiguous (the transpose view of a (4, n)
+    buffer), so the likelihood kernel streams each weight as one contiguous
+    vector; a row-major array gives the same results, slower.
+    ``negativities`` and ``purities`` are computed from the Bell weights
     (``bell_diagonal_negativity``, ``bell_diagonal_purity``).  Without
     ``prior_weights`` the prior is uniform; given ones must have one
     non-negative entry per state and sum to 1 within 1e-12, so a NaN or
@@ -225,11 +194,19 @@ class TestSet:
     purities: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = len(self.bell_weights)
-        if n < 1:
-            raise ConfigError("test set must contain at least one state")
-        self.negativities = bell_diagonal_negativity(self.bell_weights)
-        self.purities = bell_diagonal_purity(self.bell_weights)
+        weights = self.bell_weights = np.asarray(self.bell_weights, dtype=float)
+        if weights.ndim != 2 or weights.shape[1] != 4 or len(weights) < 1:
+            raise ConfigError(f"Bell weights must be an (n >= 1, 4) array, got shape {weights.shape}")
+        n = len(weights)
+        # Positive form, so that NaN and inf fail.  The row sums add the rows
+        # of the (4, n) transpose and are freed before the scalars are made.
+        row_sums = weights.T.sum(axis=0)
+        if not (weights.min() >= 0 and row_sums.min() >= 1.0 - 1e-12
+                and row_sums.max() <= 1.0 + 1e-12):
+            raise ConfigError("every row of Bell weights must be non-negative and sum to 1")
+        del row_sums
+        self.negativities = bell_diagonal_negativity(weights)
+        self.purities = bell_diagonal_purity(weights)
         # Allocated after the scalars, so that their temporaries do not
         # stack on top of it.
         if self.prior_weights is None:

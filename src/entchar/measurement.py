@@ -103,17 +103,6 @@ def frequencies(rec: MeasurementRecord) -> FrequencyTable:
                           counts=rec.counts)
 
 
-def same_different_counts(rec_or_freq):
-    """Same-outcome and different-outcome counts of XX, YY and ZZ, each (3,).
-
-    These, with the XY + YX total, are all a Bell-diagonal state's
-    likelihood reads of a default-settings record or frequency table.
-    """
-    require_default_settings(rec_or_freq)
-    split = rec_or_freq.counts[[0, 3, 4]]
-    return split[:, 0] + split[:, 3], split[:, 1] + split[:, 2]
-
-
 def _correlation(rho: np.ndarray, a: int, b: int) -> float:
     return linalg.expectation(rho, np.kron(linalg.PAULIS[a], linalg.PAULIS[b]))
 
@@ -201,9 +190,9 @@ def save_record(rec: MeasurementRecord, path) -> None:
 
 def load_record(path) -> MeasurementRecord:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read record {path}: {exc}") from exc
     return record_from_dict(doc)
 

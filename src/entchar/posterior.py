@@ -1,10 +1,12 @@
 """Bayesian updating over a test set and posterior summaries.
 
-Every test state is Bell-diagonal, so its likelihood on the five default
-settings depends on the record only through the XX, YY and ZZ
-same/different-outcome counts and the total count (``bell_log_likelihood``),
-and the posterior mean state is the Bell-diagonal state of the mean weights.
-``log_likelihood`` is the generic per-state version for any density matrix.
+Every test state is Bell-diagonal.  This module alone states what four
+Bell weights predict on the five default settings (``SAME_OUTCOME_MAP``),
+which record counts those predictions read (``same_different_counts``),
+and the likelihood kernel built on both (``bell_log_likelihood``), which
+the posterior and the fits in ``criteria`` share.  The posterior mean
+state is the Bell-diagonal state of the mean weights.  ``log_likelihood``
+is the generic per-state version for any density matrix.
 
 Log-likelihoods drop the multinomial coefficient: it is constant across
 states, cancels in the posterior normalization, and the model-comparison
@@ -30,6 +32,16 @@ _LOG_2 = np.log(2.0)
 _LOG_QUARTER = np.log(0.25)
 #: Below this argument np.exp returns a subnormal number (or 0).
 _LOG_TINY = np.log(np.finfo(float).tiny)
+
+#: Same-outcome probability of the XX, YY and ZZ settings (columns) under
+#: each Bell projector |Phi_1>..|Phi_4| (rows); linear in the Bell weights.
+SAME_OUTCOME_MAP = np.array([[1.0, 0.0, 1.0],
+                             [0.0, 1.0, 1.0],
+                             [1.0, 1.0, 0.0],
+                             [0.0, 0.0, 0.0]])
+
+#: The two Bell weights that sum to each setting's same-outcome probability.
+_SAME_OUTCOME_PAIRS = [tuple(np.flatnonzero(col)) for col in SAME_OUTCOME_MAP.T]
 
 
 @dataclass
@@ -71,27 +83,45 @@ def log_likelihood(rec: measurement.MeasurementRecord, rho: np.ndarray) -> float
     return total
 
 
+def same_different_counts(rec_or_freq):
+    """Same-outcome and different-outcome counts of XX, YY and ZZ, each (3,).
+
+    These, with the XY + YX total, are all a Bell-diagonal state's
+    likelihood reads of a default-settings record or frequency table.
+    """
+    measurement.require_default_settings(rec_or_freq)
+    split = rec_or_freq.counts[[0, 3, 4]]
+    return split[:, 0] + split[:, 3], split[:, 1] + split[:, 2]
+
+
 def bell_log_likelihood(weights, rec) -> np.ndarray:
     """Log-likelihood of a default-settings record under rows of Bell weights (n, 4).
 
     Each state predicts s/2 for the two same outcomes and (1-s)/2 for the
-    two different outcomes of XX, YY and ZZ, and 1/4 for every XY and YX
-    outcome, whose total is every count outside XX, YY and ZZ.  An observed
-    zero-probability outcome gives -inf.  ``rec`` is a MeasurementRecord or
-    a FrequencyTable.
+    two different outcomes of XX, YY and ZZ, with s = w @ SAME_OUTCOME_MAP
+    clipped to [0, 1], and 1/4 for every XY and YX outcome, whose total is
+    every count outside XX, YY and ZZ.  An observed zero-probability
+    outcome gives -inf.  ``rec`` is a MeasurementRecord or a FrequencyTable.
     """
-    same, diff = measurement.same_different_counts(rec)
-    s = families.same_outcome_probabilities(weights)
-    ll, term = np.zeros(len(s)), np.empty(len(s))
-    # Column by column; unobserved outcomes are left out, so that
+    same, diff = same_different_counts(rec)
+    w = np.asarray(weights, dtype=float)
+    # One (3, n) buffer: freeing it raises glibc's mmap threshold above n
+    # floats, so later n-sized arrays reuse the heap; as three arrays each
+    # is a fresh mmap per call, thousands of page faults per sweep-grid op.
+    s = np.empty((3, len(w)))
+    for row, (i, k) in zip(s, _SAME_OUTCOME_PAIRS):
+        np.add(w[:, i], w[:, k], out=row)
+    np.clip(s, 0.0, 1.0, out=s)
+    ll, term = np.zeros(len(w)), np.empty(len(w))
+    # Setting by setting; unobserved outcomes are left out, so that
     # 0 * log(0) never arises.
     with np.errstate(divide="ignore"):
-        for j in range(s.shape[1]):
-            if same[j] > 0:
-                ll += np.multiply(np.log(s[:, j], out=term), same[j], out=term)
-            if diff[j] > 0:
-                np.negative(s[:, j], out=term)
-                ll += np.multiply(np.log1p(term, out=term), diff[j], out=term)
+        for row, n_same, n_diff in zip(s, same, diff):
+            if n_same > 0:
+                ll += np.multiply(np.log(row, out=term), n_same, out=term)
+            if n_diff > 0:
+                np.negative(row, out=term)
+                ll += np.multiply(np.log1p(term, out=term), n_diff, out=term)
     n_split = float(same.sum() + diff.sum())
     n_quarter = float(rec.counts.sum() - same.sum() - diff.sum())
     ll += n_quarter * _LOG_QUARTER - n_split * _LOG_2

@@ -243,6 +243,16 @@ class TestCharacterize:
                     "--grid", "30x30", "--out", str(tmp_path / "x.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["characterize", "compare"])
+    def test_record_not_utf8(self, tmp_path, command):
+        # JSON text is UTF-8; a UTF-16 byte-order mark is a data error, not a traceback.
+        bad = tmp_path / "utf16.json"
+        bad.write_bytes(b"\xff\xfe\x00{" + "}".encode("utf-16-le"))
+        argv = [command, "--record", str(bad), "--out", str(tmp_path / "x.json")]
+        if command == "characterize":
+            argv += ["--prior", "two-param", "--grid", "30x30"]
+        assert run(argv) == 2
+
     def test_missing_record_file(self, tmp_path):
         code = run(["characterize", "--record", str(tmp_path / "nope.json"),
                     "--prior", "two-param", "--grid", "30x30",

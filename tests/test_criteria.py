@@ -62,10 +62,10 @@ def bell_gradient(rec, p):
     where M is SAME_OUTCOME_MAP and s = p @ M; a term with zero count is 0."""
     split = rec.counts[[0, 3, 4]]
     same, diff = split[:, 0] + split[:, 3], split[:, 1] + split[:, 2]
-    s = p @ families.SAME_OUTCOME_MAP
+    s = p @ posterior.SAME_OUTCOME_MAP
     d_s = (np.divide(same, s, out=np.zeros(3), where=same > 0)
            - np.divide(diff, 1.0 - s, out=np.zeros(3), where=diff > 0))
-    return families.SAME_OUTCOME_MAP @ d_s
+    return posterior.SAME_OUTCOME_MAP @ d_s
 
 
 def fallback_records():

@@ -265,6 +265,24 @@ def test_nan_prior_weight_is_refused():
 
 
 @pytest.mark.parametrize(
+    "weights",
+    [np.array([[0.9, 0.9, -0.5, 0.1], [0.25] * 4]),
+     np.vstack([np.full((3, 4), 0.25), np.full((1, 4), np.nan)]),
+     np.array([[0.25, 0.25, 0.25, np.inf]]),
+     np.full((2, 4), 0.3),
+     np.full(5, 0.2),
+     np.full((2, 3), 1 / 3),
+     np.empty((0, 4))],
+    ids=["negative", "nan_row", "inf", "row_sum", "1d", "three_columns", "empty"],
+)
+def test_invalid_bell_weights_are_refused(weights):
+    # The first would have negativity 0.8 and purity 1.88; a NaN row would
+    # surface only as "every test state assigns zero probability".
+    with pytest.raises(ConfigError, match="Bell weights"):
+        families.TestSet(weights)
+
+
+@pytest.mark.parametrize(
     "build",
     [lambda: families.grid_prior_two_param(7, 9),
      lambda: families.simplex_prior_bell_diagonal(50, seed=4)],
@@ -321,11 +339,17 @@ class TestLikelihoodKernel:
         assert vertices
         assert np.isneginf(ll[vertices]).all()
 
-    def test_same_outcome_probabilities_in_unit_interval(self, case):
-        test_set, _ = case
-        s = families.same_outcome_probabilities(test_set.bell_weights)
-        assert s.shape == (test_set.n_states, 3)
-        assert s.min() >= 0.0 and s.max() <= 1.0
+    def test_kernel_clips_same_outcome_probabilities(self):
+        # The XX pair sum of this row is 1.0000000000001; unclipped, log1p
+        # of its negation is NaN (a RuntimeWarning) instead of -inf.
+        weights = np.array([[0.6, 0.0, 0.4 + 1e-13, 0.0]])
+        assert weights[0, 0] + weights[0, 2] > 1.0
+        counts = np.array([[3, 1, 2, 4], [1, 1, 1, 1], [1, 1, 1, 1], [2, 2, 2, 2], [5, 1, 1, 5]])
+        rec = measurement.MeasurementRecord(settings=measurement.DEFAULT_SETTINGS, counts=counts)
+        ll = posterior.log_likelihood_vector(families.TestSet(weights), rec)
+        oracle = posterior.log_likelihood(rec, families.bell_diagonal_state(weights[0]))
+        assert np.isneginf(oracle)
+        np.testing.assert_array_equal(ll, [oracle])
 
     def test_mean_state_matches_explicit_sum(self, case):
         test_set, states = case

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from entchar import families, linalg, measurement
+from entchar import families, linalg, measurement, posterior
 from entchar.errors import ConfigError, DataError
 
 IDENTITY4 = np.eye(4) / 4.0
@@ -142,10 +142,10 @@ class TestFrequencies:
             counts=np.array([[30, 20, 10, 40], [9, 9, 9, 9], [9, 9, 9, 9],
                              [1, 2, 3, 4], [5, 0, 7, 0]]),
         )
-        same, diff = measurement.same_different_counts(rec)
+        same, diff = posterior.same_different_counts(rec)
         np.testing.assert_array_equal(same, [70, 5, 5])
         np.testing.assert_array_equal(diff, [30, 5, 7])
-        f_same, f_diff = measurement.same_different_counts(measurement.frequencies(rec))
+        f_same, f_diff = posterior.same_different_counts(measurement.frequencies(rec))
         np.testing.assert_allclose(f_same, same, rtol=1e-15)
         np.testing.assert_allclose(f_diff, diff, rtol=1e-15)
 
