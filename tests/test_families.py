@@ -339,6 +339,19 @@ class TestLikelihoodKernel:
         assert vertices
         assert np.isneginf(ll[vertices]).all()
 
+    def test_same_outcome_probabilities_in_unit_interval(self, case):
+        # One same-outcome count of XX, YY or ZZ, and nothing else, has
+        # log-likelihood log(s) - log(2); read s back out of the kernel.
+        test_set, _ = case
+        s = np.empty((test_set.n_states, 3))
+        for j, row in enumerate([0, 3, 4]):
+            counts = np.zeros((5, 4), dtype=int)
+            counts[row, 0] = 1
+            rec = measurement.MeasurementRecord(settings=measurement.DEFAULT_SETTINGS, counts=counts)
+            s[:, j] = 2.0 * np.exp(posterior.log_likelihood_vector(test_set, rec))
+        assert not np.isnan(s).any()
+        assert s.min() >= 0.0 and s.max() <= 1.0
+
     def test_kernel_clips_same_outcome_probabilities(self):
         # The XX pair sum of this row is 1.0000000000001; unclipped, log1p
         # of its negation is NaN (a RuntimeWarning) instead of -inf.
