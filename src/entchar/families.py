@@ -21,6 +21,17 @@ as elementwise operations on those columns, because numpy reduces along a
 short row axis, or gathers strided columns, several times slower than it
 streams a contiguous vector.  Every function still accepts any (n, 4)
 layout.
+
+Block rule: the elementwise per-state passes over a test set run in
+blocks of ``BLOCK`` states (``blocks``): the simplex builder's draws and
+sort, the Bell-weight check and the scalars in ``TestSet``, the posterior
+module's log-likelihood kernel and the shift, exponential and prior
+product of its update.  A block's vectors stay in cache, and no pass
+holds an n-sized temporary beside its result.  Each element goes through
+the same operations in the same order, so the values equal the one-shot
+formulas bit for bit.  Reductions stay whole-array (the maximum, every
+sum and the posterior moments): numpy sums pairwise, so a sum of block
+sums would round differently from the sum of the whole array.
 """
 
 from dataclasses import dataclass, field
@@ -33,6 +44,16 @@ from .errors import ConfigError
 from .linalg import NEGATIVITY_FLOOR
 
 _SQRT2 = np.sqrt(2.0)
+
+#: States per block of the elementwise passes; a block's float64 vector is
+#: 128 KiB, so the few a pass touches stay in a 2 MiB L2 cache.
+BLOCK = 16384
+
+
+def blocks(n: int):
+    """Slices covering range(n) in order, BLOCK states each; the last may be shorter."""
+    for start in range(0, n, BLOCK):
+        yield slice(start, min(start + BLOCK, n))
 
 #: Bell basis vectors |Phi_1>..|Phi_4| in the |00>,|01>,|10>,|11> basis.
 BELL_VECTORS = np.array(
@@ -198,17 +219,18 @@ class TestSet:
         if weights.ndim != 2 or weights.shape[1] != 4 or len(weights) < 1:
             raise ConfigError(f"Bell weights must be an (n >= 1, 4) array, got shape {weights.shape}")
         n = len(weights)
-        # Positive form, so that NaN and inf fail.  The row sums add the rows
-        # of the (4, n) transpose and are freed before the scalars are made.
-        row_sums = weights.T.sum(axis=0)
-        if not (weights.min() >= 0 and row_sums.min() >= 1.0 - 1e-12
-                and row_sums.max() <= 1.0 + 1e-12):
-            raise ConfigError("every row of Bell weights must be non-negative and sum to 1")
-        del row_sums
-        self.negativities = bell_diagonal_negativity(weights)
-        self.purities = bell_diagonal_purity(weights)
-        # Allocated after the scalars, so that their temporaries do not
-        # stack on top of it.
+        negativities, purities = np.empty(n), np.empty(n)
+        for sl in blocks(n):
+            block = weights[sl]
+            # Positive form, so that NaN and inf fail.  The row sums add the
+            # rows of the block's (4, m) transpose.
+            row_sums = block.T.sum(axis=0)
+            if not (block.min() >= 0 and row_sums.min() >= 1.0 - 1e-12
+                    and row_sums.max() <= 1.0 + 1e-12):
+                raise ConfigError("every row of Bell weights must be non-negative and sum to 1")
+            negativities[sl] = bell_diagonal_negativity(block)
+            purities[sl] = bell_diagonal_purity(block)
+        self.negativities, self.purities = negativities, purities
         if self.prior_weights is None:
             self.prior_weights = np.full(n, 1.0 / n)
         prior = self.prior_weights = np.asarray(self.prior_weights, dtype=float)
@@ -254,23 +276,26 @@ def simplex_prior_bell_diagonal(n: int, seed: int) -> TestSet:
     """n Bell-diagonal weight vectors drawn uniformly on the 3-simplex.
 
     Uses sorted-uniform spacings, which are exactly uniform on the simplex;
-    deterministic for a given seed.  Each row of three uniforms is sorted
-    by a min/max compare-exchange network on whole columns, and the four
-    spacings are written into a (4, n) buffer whose transpose is the
-    Bell weights; the values equal a row-wise ``np.sort`` and ``np.diff``.
+    deterministic for a given seed.  The (n, 3) uniforms are drawn block by
+    block, which continues one generator stream, so the draws equal one
+    ``rng.random((n, 3))``.  Each row of three is sorted by a min/max
+    compare-exchange network on the block's columns, and the four spacings
+    are written into a (4, n) buffer whose transpose is the Bell weights;
+    the values equal a row-wise ``np.sort`` and ``np.diff``.
     """
     if n < 1:
         raise ConfigError(f"sample count must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
-    u0, u1, u2 = np.ascontiguousarray(rng.random((n, 3)).T)
-    # Compare-exchange (0, 1), (1, 2), (0, 1) leaves a <= b <= c.
-    a, b = np.minimum(u0, u1), np.maximum(u0, u1)
-    b, c = np.minimum(b, u2), np.maximum(b, u2)
-    a, b = np.minimum(a, b), np.maximum(a, b)
     w = np.empty((4, n))
-    w[0] = a
-    np.subtract(b, a, out=w[1])
-    np.subtract(c, b, out=w[2])
-    np.subtract(1.0, c, out=w[3])
+    for sl in blocks(n):
+        u0, u1, u2 = np.ascontiguousarray(rng.random((sl.stop - sl.start, 3)).T)
+        # Compare-exchange (0, 1), (1, 2), (0, 1) leaves a <= b <= c.
+        a, b = np.minimum(u0, u1), np.maximum(u0, u1)
+        b, c = np.minimum(b, u2), np.maximum(b, u2)
+        a, b = np.minimum(a, b), np.maximum(a, b)
+        w[0, sl] = a
+        np.subtract(b, a, out=w[1, sl])
+        np.subtract(c, b, out=w[2, sl])
+        np.subtract(1.0, c, out=w[3, sl])
     return TestSet(w.T)
 

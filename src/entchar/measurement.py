@@ -192,7 +192,7 @@ def load_record(path) -> MeasurementRecord:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise DataError(f"cannot read record {path}: {exc}") from exc
     return record_from_dict(doc)
 

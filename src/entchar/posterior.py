@@ -104,27 +104,29 @@ def bell_log_likelihood(weights, rec) -> np.ndarray:
     outcome gives -inf.  ``rec`` is a MeasurementRecord or a FrequencyTable.
     """
     same, diff = same_different_counts(rec)
+    n_split = float(same.sum() + diff.sum())
+    n_quarter = float(rec.counts.sum() - same.sum() - diff.sum())
+    constant = n_quarter * _LOG_QUARTER - n_split * _LOG_2
     w = np.asarray(weights, dtype=float)
-    # One (3, n) buffer: freeing it raises glibc's mmap threshold above n
-    # floats, so later n-sized arrays reuse the heap; as three arrays each
-    # is a fresh mmap per call, thousands of page faults per sweep-grid op.
-    s = np.empty((3, len(w)))
-    for row, (i, k) in zip(s, _SAME_OUTCOME_PAIRS):
-        np.add(w[:, i], w[:, k], out=row)
-    np.clip(s, 0.0, 1.0, out=s)
-    ll, term = np.zeros(len(w)), np.empty(len(w))
+    ll = np.zeros(len(w))
+    # Block scratch, reused: the pair sums and one term.
+    s_buf = np.empty((3, min(len(w), families.BLOCK)))
+    t_buf = np.empty(s_buf.shape[1])
     # Setting by setting; unobserved outcomes are left out, so that
     # 0 * log(0) never arises.
     with np.errstate(divide="ignore"):
-        for row, n_same, n_diff in zip(s, same, diff):
-            if n_same > 0:
-                ll += np.multiply(np.log(row, out=term), n_same, out=term)
-            if n_diff > 0:
-                np.negative(row, out=term)
-                ll += np.multiply(np.log1p(term, out=term), n_diff, out=term)
-    n_split = float(same.sum() + diff.sum())
-    n_quarter = float(rec.counts.sum() - same.sum() - diff.sum())
-    ll += n_quarter * _LOG_QUARTER - n_split * _LOG_2
+        for sl in families.blocks(len(w)):
+            s, term, acc = s_buf[:, :sl.stop - sl.start], t_buf[:sl.stop - sl.start], ll[sl]
+            for row, (i, k) in zip(s, _SAME_OUTCOME_PAIRS):
+                np.add(w[sl, i], w[sl, k], out=row)
+            np.clip(s, 0.0, 1.0, out=s)
+            for row, n_same, n_diff in zip(s, same, diff):
+                if n_same > 0:
+                    acc += np.multiply(np.log(row, out=term), n_same, out=term)
+                if n_diff > 0:
+                    np.negative(row, out=term)
+                    acc += np.multiply(np.log1p(term, out=term), n_diff, out=term)
+            acc += constant
     return ll
 
 
@@ -145,19 +147,23 @@ def update_posterior(ts: TestSet, rec: measurement.MeasurementRecord) -> Posteri
     the test set was built; to update sequentially, build the next test set
     as ``TestSet(ts.bell_weights, post.weights)``.
     """
-    ll = log_likelihood_vector(ts, rec)
-    shift = ll.max()
+    w = log_likelihood_vector(ts, rec)
+    shift = w.max()
     if not np.isfinite(shift):
         raise DataError("every test state assigns zero probability to the record")
-    ll -= shift
-    keep = ll >= _LOG_TINY
-    # The clamp comes first: it turns -inf into a finite value, so that
-    # zeroing by ``keep`` never forms -inf * 0 = nan.
-    np.maximum(ll, _LOG_TINY, out=ll)
-    ll *= keep
-    w = np.exp(ll, out=ll)
-    w *= keep
-    w *= ts.prior_weights
+    prior = ts.prior_weights
+    keep_buf = np.empty(min(len(w), families.BLOCK), dtype=bool)
+    for sl in families.blocks(len(w)):
+        x, keep = w[sl], keep_buf[:sl.stop - sl.start]
+        x -= shift
+        np.greater_equal(x, _LOG_TINY, out=keep)
+        # The clamp comes first: it turns -inf into a finite value, so that
+        # zeroing by ``keep`` never forms -inf * 0 = nan.
+        np.maximum(x, _LOG_TINY, out=x)
+        x *= keep
+        np.exp(x, out=x)
+        x *= keep
+        x *= prior[sl]
     total = w.sum()
     if total <= 0.0:
         raise DataError("posterior mass vanished after the update")

@@ -253,6 +253,12 @@ class TestCharacterize:
             argv += ["--prior", "two-param", "--grid", "30x30"]
         assert run(argv) == 2
 
+    def test_deeply_nested_record(self, tmp_path):
+        # Past the JSON decoder's recursion limit: a data error, not a traceback.
+        bad = tmp_path / "nested.json"
+        bad.write_text("[" * 200_000 + "]" * 200_000)
+        assert run(["compare", "--record", str(bad), "--out", str(tmp_path / "x.json")]) == 2
+
     def test_missing_record_file(self, tmp_path):
         code = run(["characterize", "--record", str(tmp_path / "nope.json"),
                     "--prior", "two-param", "--grid", "30x30",

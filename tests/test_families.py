@@ -230,7 +230,8 @@ class TestSimplexPrior:
         assert ts.bell_weights.min() >= 0.0
         np.testing.assert_allclose(ts.bell_weights.sum(axis=1), 1.0, atol=1e-12)
 
-    @pytest.mark.parametrize("n", [1, 2, 100_000])
+    @pytest.mark.parametrize("n", [1, 2, families.BLOCK - 1, families.BLOCK, families.BLOCK + 1,
+                                   2 * families.BLOCK + 3, 100_000])
     @pytest.mark.parametrize("seed", [0, 5, 2026])
     def test_bit_identical_to_row_sort(self, n, seed):
         # The row-wise formula: sort each row, take spacings, row max and
@@ -371,3 +372,67 @@ class TestLikelihoodKernel:
         rho = posterior.mean_state(test_set, posterior.Posterior(weights=w))
         np.testing.assert_allclose(rho, explicit, rtol=0, atol=1e-12)
 
+
+class TestBlockBoundaries:
+    """Test sets spanning several blocks of the elementwise passes."""
+
+    @pytest.fixture(scope="class")
+    def test_set(self):
+        """One full block, then a partial one ending in the four Bell vertices."""
+        draws = families.simplex_prior_bell_diagonal(families.BLOCK + 100, seed=11)
+        return families.TestSet(np.vstack([draws.bell_weights, np.eye(4)]))
+
+    @pytest.fixture(params=["sampled", "impossible"])
+    def record(self, request):
+        if request.param == "sampled":
+            return measurement.simulate_record(families.reference_mixture("rho1"), 10_000, seed=3)
+        return TestLikelihoodKernel.impossible_record()
+
+    def test_blocks_cover_the_states_in_order(self):
+        for n in (1, families.BLOCK - 1, families.BLOCK, 2 * families.BLOCK + 3):
+            slices = list(families.blocks(n))
+            assert np.array_equal(np.concatenate([np.arange(n)[sl] for sl in slices]), np.arange(n))
+            assert all(sl.stop - sl.start <= families.BLOCK for sl in slices)
+
+    def test_kernel_matches_per_state_oracle(self, test_set, record):
+        ll = posterior.log_likelihood_vector(test_set, record)
+        n, b = test_set.n_states, families.BLOCK
+        picks = np.unique(np.r_[0:n:173, b - 3:b + 3, n - 4:n])
+        oracle = np.array([posterior.log_likelihood(record, families.bell_diagonal_state(w))
+                           for w in test_set.bell_weights[picks]])
+        np.testing.assert_array_equal(np.isneginf(ll[picks]), np.isneginf(oracle))
+        finite = np.isfinite(oracle)
+        np.testing.assert_allclose(ll[picks][finite], oracle[finite], rtol=0, atol=1e-9)
+
+    def test_vertices_in_the_last_block_are_impossible(self, test_set):
+        ll = posterior.log_likelihood_vector(test_set, TestLikelihoodKernel.impossible_record())
+        assert np.isneginf(ll[-4:]).all()
+        assert np.isfinite(ll[:-4]).all()
+
+    def test_kernel_values_do_not_depend_on_the_blocking(self, test_set, record):
+        # Chunks of 1000 states each fit in one block; their concatenation
+        # must equal the kernel on the whole set bit for bit.
+        ll = posterior.log_likelihood_vector(test_set, record)
+        chunks = [posterior.bell_log_likelihood(test_set.bell_weights[i:i + 1000], record)
+                  for i in range(0, test_set.n_states, 1000)]
+        assert np.array_equal(ll, np.concatenate(chunks))
+
+    def test_update_equals_unblocked_formula(self, test_set):
+        rec = measurement.simulate_record(families.reference_mixture("rho1"), 10_000, seed=3)
+        prior = np.random.default_rng(8).dirichlet(np.ones(test_set.n_states))
+        ts = families.TestSet(test_set.bell_weights, prior)
+        ll = posterior.log_likelihood_vector(ts, rec)
+        ll -= ll.max()
+        log_tiny = np.log(np.finfo(float).tiny)
+        keep = ll >= log_tiny
+        assert keep.any() and not keep.all()
+        w = np.exp(np.maximum(ll, log_tiny) * keep) * keep * prior
+        w /= w.sum()
+        assert np.array_equal(posterior.update_posterior(ts, rec).weights, w)
+
+    @pytest.mark.parametrize("bad", [np.nan, -1e-3], ids=["nan", "negative"])
+    def test_bad_row_in_second_block_is_refused(self, test_set, bad):
+        weights = test_set.bell_weights.copy()
+        weights[families.BLOCK + 7] = [0.5 - bad, 0.5, bad, 0.0]
+        with pytest.raises(ConfigError, match="Bell weights"):
+            families.TestSet(weights)

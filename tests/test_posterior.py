@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -287,3 +289,37 @@ class TestMeanState:
         ts = bell_diag_set([[0.25, 0.25, 0.25, 0.25]])
         with pytest.raises(ConfigError):
             posterior.mean_state(ts, posterior.Posterior(weights=np.ones(2) / 2))
+
+
+class TestAllocationPeak:
+    """Peak traced memory (numpy reports its buffers to tracemalloc) stays at
+    what a pass keeps plus one block's scratch, never an n-sized temporary."""
+
+    N = 200_000
+    #: Sixteen float64 vectors of one block.
+    SCRATCH = 16 * 8 * families.BLOCK
+
+    @pytest.fixture
+    def traced(self):
+        tracemalloc.start()
+        yield
+        tracemalloc.stop()
+
+    def test_simplex_prior_build(self, traced):
+        ts = families.simplex_prior_bell_diagonal(self.N, seed=0)
+        held, peak = tracemalloc.get_traced_memory()
+        # Bell weights 32 B, negativity, purity and prior 8 B each per state.
+        assert held >= 56 * self.N
+        assert peak <= 56 * self.N + self.SCRATCH
+        assert ts.n_states == self.N
+
+    def test_update_posterior(self, traced):
+        ts = families.simplex_prior_bell_diagonal(self.N, seed=0)
+        rec = measurement.simulate_record(families.reference_mixture("rho1"), 1000, seed=0)
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        post = posterior.update_posterior(ts, rec)
+        peak = tracemalloc.get_traced_memory()[1]
+        # The posterior weights, 8 B per state, are all it keeps.
+        assert peak - before <= 8 * self.N + self.SCRATCH
+        assert len(post.weights) == self.N
