@@ -8,12 +8,12 @@ Subcommands::
     entchar prior-hist   --prior bell-diag --samples 1000000 --seed 1 --bins 100 --out hist.json
 
 All randomness flows from the single --seed value; result documents echo
-their configuration so a run can be replayed bit-exactly.
+their configuration so a run can be replayed bit-exactly.  A flag that the
+chosen --state or --prior does not take is a config error (exit 1).
 """
 
 import argparse
 import dataclasses
-import functools
 import json
 import re
 import sys
@@ -71,45 +71,41 @@ def _parse_grid(text: str):
     return n_p, n_sigma
 
 
-#: Each state `simulate` can draw from: the flags it takes, in the order of
-#: the builder's arguments and of the record label, and the builder.
+#: Each --state and --prior choice: its flags in the builder's argument order,
+#: with defaults (None: required), and a builder that looks its families
+#: function up at call time, so that a replaced one is used.
 _STATES = {
-    "two-param": (("p", "sigma"), families.two_param_state),
-    "rho-k": (("k",), families.rho_k_state),
-    "rho1": ((), functools.partial(families.reference_mixture, "rho1")),
-    "rho2": ((), functools.partial(families.reference_mixture, "rho2")),
+    "two-param": ({"p": None, "sigma": None}, lambda p, sigma: families.two_param_state(p, sigma)),
+    "rho-k": ({"k": None}, lambda k: families.rho_k_state(k)),
+    "rho1": ({}, lambda: families.reference_mixture("rho1")),
+    "rho2": ({}, lambda: families.reference_mixture("rho2")),
 }
-_STATE_FLAGS = tuple(dict.fromkeys(f for flags, _ in _STATES.values() for f in flags))
+_PRIORS = {
+    "two-param": ({"grid": "600x600"},
+                  lambda grid: families.grid_prior_two_param(*_parse_grid(grid))),
+    "bell-diag": ({"samples": 100_000, "seed": 0},
+                  lambda samples, seed: families.simplex_prior_bell_diagonal(samples, seed)),
+}
 
 
-def _build_state(args):
-    """The state chosen by --state and its record label.
+def _choose(table, option, args):
+    """The object that --option chose from table, and its flag values.
 
-    A flag the state takes but was not given, and a flag given that the
-    state does not take, are both ConfigErrors.
+    A required flag not given, and a flag given that belongs only to another
+    choice, are both ConfigErrors; a flag not given takes its default.
     """
-    if args.state not in _STATES:
-        raise ConfigError(f"unknown state family {args.state!r}")
-    flags, build = _STATES[args.state]
-    if any(getattr(args, f) is None for f in flags):
-        raise ConfigError(f"--state {args.state} requires " + " and ".join(f"--{f}" for f in flags))
-    foreign = [f"--{f}" for f in _STATE_FLAGS if f not in flags and getattr(args, f) is not None]
+    choice = getattr(args, option)
+    flags, build = table[choice]
+    required = [f for f, default in flags.items() if default is None]
+    if any(getattr(args, f) is None for f in required):
+        raise ConfigError(f"--{option} {choice} requires " + " and ".join(f"--{f}" for f in required))
+    others = dict.fromkeys(f for other, _ in table.values() for f in other if f not in flags)
+    foreign = [f"--{f}" for f in others if getattr(args, f) is not None]
     if foreign:
-        raise ConfigError(f"--state {args.state} does not take " + " or ".join(foreign))
-    values = [getattr(args, f) for f in flags]
-    label = " ".join([args.state] + [f"{f}={v}" for f, v in zip(flags, values)])
-    return build(*values), label
-
-
-def _build_prior(args):
-    """The prior test set and the config fields that reproduce it."""
-    if args.prior == "two-param":
-        n_p, n_sigma = _parse_grid(args.grid)
-        return families.grid_prior_two_param(n_p, n_sigma), {"prior": args.prior, "grid": args.grid}
-    if args.prior == "bell-diag":
-        ts = families.simplex_prior_bell_diagonal(args.samples, args.seed)
-        return ts, {"prior": args.prior, "samples": args.samples, "seed": args.seed}
-    raise ConfigError(f"unknown prior {args.prior!r}")
+        raise ConfigError(f"--{option} {choice} does not take " + " or ".join(foreign))
+    values = {f: default if getattr(args, f) is None else getattr(args, f)
+              for f, default in flags.items()}
+    return build(*values.values()), values
 
 
 def _write_result(path, config, started, summary=None, histogram=None, comparison=None):
@@ -144,7 +140,8 @@ def _write_histogram(args, config, started, hist: posterior.Histogram, summary=N
 
 
 def cmd_simulate(args) -> int:
-    rho, label = _build_state(args)
+    rho, values = _choose(_STATES, "state", args)
+    label = " ".join([args.state] + [f"{f}={v}" for f, v in values.items()])
     rec = measurement.simulate_record(rho, args.shots, args.seed, label=label)
     measurement.save_record(rec, args.out)
     print(f"N_m = {rec.n_total}")
@@ -156,7 +153,7 @@ def cmd_simulate(args) -> int:
 def cmd_characterize(args) -> int:
     started = time.monotonic()
     rec = measurement.load_record(args.record)
-    ts, prior_config = _build_prior(args)
+    ts, values = _choose(_PRIORS, "prior", args)
     post = posterior.update_posterior(ts, rec)
     summary = posterior.summarize(ts, post)
     hist = posterior.histogram_negativity(ts, post.weights, args.bins)
@@ -164,7 +161,8 @@ def cmd_characterize(args) -> int:
     config = {
         "command": "characterize",
         "record": str(args.record),
-        **prior_config,
+        "prior": args.prior,
+        **values,
         "bins": args.bins,
         "format": args.format,
     }
@@ -199,11 +197,12 @@ def cmd_compare(args) -> int:
 
 def cmd_prior_hist(args) -> int:
     started = time.monotonic()
-    ts, prior_config = _build_prior(args)
+    ts, values = _choose(_PRIORS, "prior", args)
     hist = posterior.histogram_negativity(ts, ts.prior_weights, args.bins)
     config = {
         "command": "prior-hist",
-        **prior_config,
+        "prior": args.prior,
+        **values,
         "bins": args.bins,
         "format": args.format,
     }
@@ -219,7 +218,7 @@ def build_parser() -> _Parser:
 
     sim = sub.add_parser("simulate", help="simulate a finite measurement record")
     sim.add_argument("--state", required=True, choices=list(_STATES))
-    for flag in _STATE_FLAGS:
+    for flag in dict.fromkeys(f for flags, _ in _STATES.values() for f in flags):
         sim.add_argument(f"--{flag}", type=float)
     sim.add_argument("--shots", type=_shots, required=True, help="shots per setting")
     sim.add_argument("--seed", type=_non_negative_int, required=True)
@@ -227,12 +226,10 @@ def build_parser() -> _Parser:
     sim.set_defaults(func=cmd_simulate)
 
     def add_prior_args(p, default_bins):
-        p.add_argument("--prior", required=True, choices=["two-param", "bell-diag"])
-        p.add_argument("--grid", default="600x600", help="NxM grid for the two-param prior")
-        p.add_argument("--samples", type=_positive_int, default=100_000,
-                       help="sample count for the bell-diag prior")
-        p.add_argument("--seed", type=_non_negative_int, default=0,
-                       help="seed for the bell-diag prior")
+        p.add_argument("--prior", required=True, choices=list(_PRIORS))
+        p.add_argument("--grid", help="NxM grid for the two-param prior")
+        p.add_argument("--samples", type=_positive_int, help="sample count for the bell-diag prior")
+        p.add_argument("--seed", type=_non_negative_int, help="seed for the bell-diag prior")
         p.add_argument("--bins", type=_positive_int, default=default_bins)
         p.add_argument("--out", required=True)
         p.add_argument("--format", choices=["doc", "csv"], default="doc")

@@ -125,11 +125,20 @@ def two_param_bell_weights(p, b) -> np.ndarray:
     return np.array([floor + (p + b) / 2.0, floor + (p - b) / 2.0, floor, floor]).T
 
 
+def _check_simplex(points: np.ndarray, shape: tuple, what: str) -> None:
+    """Raise ConfigError unless points has this shape and each point along its
+    last axis is non-negative and sums to 1 within 1e-12 (NaN and inf fail)."""
+    if points.shape != shape:
+        raise ConfigError(f"{what} must have shape {shape}, got {points.shape}")
+    sums = points.T.sum(axis=0)  # adds contiguous columns in the builders' layout
+    if not (points.min() >= 0 and sums.min() >= 1.0 - 1e-12 and sums.max() <= 1.0 + 1e-12):
+        raise ConfigError(f"{what} must be non-negative and sum to 1")
+
+
 def bell_diagonal_state(pvec) -> np.ndarray:
     """Mixture of the four Bell projectors with weights pvec."""
     pvec = np.asarray(pvec, dtype=float)
-    if pvec.shape != (4,) or pvec.min() < 0 or abs(pvec.sum() - 1.0) > 1e-12:
-        raise ConfigError(f"weights must be a point on the 3-simplex, got {pvec}")
+    _check_simplex(pvec, (4,), "Bell weights")
     rho = np.zeros((4, 4), dtype=complex)
     for w, v in zip(pvec, BELL_VECTORS):
         rho += w * np.outer(v, v.conj())
@@ -196,9 +205,9 @@ class TestSet:
     vector; a row-major array gives the same results, slower.
     ``negativities`` and ``purities`` are computed from the Bell weights
     (``bell_diagonal_negativity``, ``bell_diagonal_purity``).  Without
-    ``prior_weights`` the prior is uniform; given ones must have one
-    non-negative entry per state and sum to 1 within 1e-12, so a NaN or
-    infinite entry is refused.  A sequential update starts from the last
+    ``prior_weights`` the prior is uniform; given ones must have shape
+    (n,), be non-negative and sum to 1 within 1e-12, so a NaN or infinite
+    entry is refused.  A sequential update starts from the last
     posterior: ``TestSet(ts.bell_weights, post.weights)``.
 
     ``entangled_index`` lists the states with negativity above
@@ -216,29 +225,20 @@ class TestSet:
 
     def __post_init__(self):
         weights = self.bell_weights = np.asarray(self.bell_weights, dtype=float)
-        if weights.ndim != 2 or weights.shape[1] != 4 or len(weights) < 1:
+        if weights.ndim != 2 or len(weights) < 1:
             raise ConfigError(f"Bell weights must be an (n >= 1, 4) array, got shape {weights.shape}")
         n = len(weights)
         negativities, purities = np.empty(n), np.empty(n)
         for sl in blocks(n):
             block = weights[sl]
-            # Positive form, so that NaN and inf fail.  The row sums add the
-            # rows of the block's (4, m) transpose.
-            row_sums = block.T.sum(axis=0)
-            if not (block.min() >= 0 and row_sums.min() >= 1.0 - 1e-12
-                    and row_sums.max() <= 1.0 + 1e-12):
-                raise ConfigError("every row of Bell weights must be non-negative and sum to 1")
+            _check_simplex(block, (len(block), 4), "Bell weights")
             negativities[sl] = bell_diagonal_negativity(block)
             purities[sl] = bell_diagonal_purity(block)
         self.negativities, self.purities = negativities, purities
         if self.prior_weights is None:
             self.prior_weights = np.full(n, 1.0 / n)
-        prior = self.prior_weights = np.asarray(self.prior_weights, dtype=float)
-        if len(prior) != n:
-            raise ConfigError(f"prior weights have {len(prior)} entries for {n} states")
-        # Written so that a NaN entry fails the test.
-        if not (prior.min() >= 0 and abs(prior.sum() - 1.0) <= 1e-12):
-            raise ConfigError("prior weights must be non-negative and sum to 1")
+        self.prior_weights = np.asarray(self.prior_weights, dtype=float)
+        _check_simplex(self.prior_weights, (n,), "prior weights")
 
     @property
     def n_states(self) -> int:
@@ -285,6 +285,8 @@ def simplex_prior_bell_diagonal(n: int, seed: int) -> TestSet:
     """
     if n < 1:
         raise ConfigError(f"sample count must be >= 1, got {n}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     w = np.empty((4, n))
     for sl in blocks(n):

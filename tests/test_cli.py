@@ -77,6 +77,25 @@ class TestSimulate:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["characterize", "prior-hist"])
+    @pytest.mark.parametrize("prior,flags", [
+        ("two-param", ["--samples", "7"]),
+        ("two-param", ["--seed", "3"]),
+        ("two-param", ["--grid", "9x9", "--samples", "7", "--seed", "3"]),
+        ("bell-diag", ["--grid", "9x9"]),
+        ("bell-diag", ["--samples", "7", "--seed", "3", "--grid", "9x9"]),
+    ])
+    def test_flags_must_match_the_prior(self, tmp_path, capsys, record_path, command, prior,
+                                        flags):
+        out = tmp_path / "x.json"
+        record = ["--record", str(record_path)] if command == "characterize" else []
+        code = run([command, *record, "--prior", prior, *flags, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"entchar: config error: --prior {prior} does not take --")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("state,flags,label", [
         ("two-param", ["--p", "0.4", "--sigma", "0.4"], "two-param p=0.4 sigma=0.4"),
         ("rho-k", ["--k", "0.7"], "rho-k k=0.7"),
@@ -277,6 +296,21 @@ class TestCharacterize:
         code = run(["characterize", "--record", str(bad), "--prior", "two-param",
                     "--grid", "30x30", "--out", str(tmp_path / "x.json")])
         assert code == 2
+
+    def test_prior_builder_is_looked_up_when_called(self, tmp_path, record_path, monkeypatch):
+        # A replaced families builder is used, with the table's default grid.
+        build, calls = families.grid_prior_two_param, []
+
+        def small_grid(n_p, n_sigma):
+            calls.append((n_p, n_sigma))
+            return build(3, 4)
+
+        monkeypatch.setattr(families, "grid_prior_two_param", small_grid)
+        out = tmp_path / "x.json"
+        assert run(["characterize", "--record", str(record_path), "--prior", "two-param",
+                    "--out", str(out)]) == 0
+        assert calls == [(600, 600)]
+        assert json.loads(out.read_text())["config"]["grid"] == "600x600"
 
 
 class TestCompare:

@@ -124,9 +124,15 @@ class TestBellDiagonal:
         rho = families.bell_diagonal_state([0.6, 0.2, 0.1, 0.1])
         assert linalg.negativity(rho) == pytest.approx(0.2, abs=1e-12)
 
-    def test_invalid_simplex_point(self):
-        with pytest.raises(ConfigError):
-            families.bell_diagonal_state([0.5, 0.5, 0.5, -0.5])
+    @pytest.mark.parametrize(
+        "pvec",
+        [[0.5, 0.5, 0.5, -0.5], [np.nan, 0.5, 0.5, 0.0], [np.inf, 0.0, 0.0, 0.0],
+         [0.5, 0.25, 0.25], [[0.25] * 4] * 2],
+        ids=["negative", "nan", "inf", "three", "two_rows"],
+    )
+    def test_invalid_simplex_point(self, pvec):
+        with pytest.raises(ConfigError, match="weights"):
+            families.bell_diagonal_state(pvec)
 
 
 class TestRhoK:
@@ -230,6 +236,11 @@ class TestSimplexPrior:
         assert ts.bell_weights.min() >= 0.0
         np.testing.assert_allclose(ts.bell_weights.sum(axis=1), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True], ids=["negative", "fractional", "bool"])
+    def test_bad_seed(self, seed):
+        with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
+            families.simplex_prior_bell_diagonal(10, seed)
+
     @pytest.mark.parametrize("n", [1, 2, families.BLOCK - 1, families.BLOCK, families.BLOCK + 1,
                                    2 * families.BLOCK + 3, 100_000])
     @pytest.mark.parametrize("seed", [0, 5, 2026])
@@ -263,6 +274,17 @@ def test_nan_prior_weight_is_refused():
     # this prior would return NaN weights.
     with pytest.raises(ConfigError, match="prior weights"):
         families.TestSet(np.full((3, 4), 0.25), prior_weights=np.array([np.nan, 0.5, 0.5]))
+
+
+@pytest.mark.parametrize(
+    "prior",
+    [np.full((3, 1), 1 / 3), np.full((3, 2), 1 / 6), np.array(1.0)],
+    ids=["n_by_1", "n_by_2", "0d"],
+)
+def test_prior_of_wrong_shape_is_refused(prior):
+    # Each passes a check on its entries alone, but is not one weight per state.
+    with pytest.raises(ConfigError, match="prior weights must have shape"):
+        families.TestSet(np.full((3, 4), 0.25), prior_weights=prior)
 
 
 @pytest.mark.parametrize(
