@@ -124,13 +124,17 @@ class TestBellDiagonal:
         rho = families.bell_diagonal_state([0.6, 0.2, 0.1, 0.1])
         assert linalg.negativity(rho) == pytest.approx(0.2, abs=1e-12)
 
+    def test_invalid_simplex_point(self):
+        with pytest.raises(ConfigError, match="weights"):
+            families.bell_diagonal_state([0.5, 0.5, 0.5, -0.5])
+
     @pytest.mark.parametrize(
         "pvec",
-        [[0.5, 0.5, 0.5, -0.5], [np.nan, 0.5, 0.5, 0.0], [np.inf, 0.0, 0.0, 0.0],
+        [[np.nan, 0.5, 0.5, 0.0], [np.inf, 0.0, 0.0, 0.0],
          [0.5, 0.25, 0.25], [[0.25] * 4] * 2],
-        ids=["negative", "nan", "inf", "three", "two_rows"],
+        ids=["nan", "inf", "three", "two_rows"],
     )
-    def test_invalid_simplex_point(self, pvec):
+    def test_malformed_simplex_point(self, pvec):
         with pytest.raises(ConfigError, match="weights"):
             families.bell_diagonal_state(pvec)
 
