@@ -24,12 +24,14 @@ layout.
 
 Block rule: the elementwise per-state passes over a test set run in
 blocks of ``BLOCK`` states (``blocks``): the simplex builder's draws and
-sort, the Bell-weight check and the scalars in ``TestSet``, the posterior
-module's log-likelihood kernel and the shift, exponential and prior
-product of its update.  A block's vectors stay in cache, and no pass
-holds an n-sized temporary beside its result.  Each element goes through
-the same operations in the same order, so the values equal the one-shot
-formulas bit for bit.  Reductions stay whole-array (the maximum, every
+sort, the Bell-weight check, the scalars and the entangled/separable
+partition in ``TestSet``, the posterior module's log-likelihood kernel
+and the shift, exponential and prior product of its update.  A block's
+vectors stay in cache, and no pass holds an n-sized temporary beside its
+result.  Each element goes through the same operations in the same
+order, so the values equal the one-shot formulas bit for bit; the
+partition's blocks list their positions in the order ``np.flatnonzero``
+gives for the whole array.  Reductions stay whole-array (the maximum, every
 sum and the posterior moments): numpy sums pairwise, so a sum of block
 sums would round differently from the sum of the whole array.
 """
@@ -112,6 +114,16 @@ def two_param_state(p: float, sigma: float) -> np.ndarray:
     return rho
 
 
+def _check_seed(seed) -> int:
+    """The seed as an int; ConfigError unless it is an integer >= 0 (not a bool).
+
+    The rule for every seed the package takes: the simplex prior's and
+    ``measurement.simulate_record``'s."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
+    return int(seed)
+
+
 def two_param_bell_weights(p, b) -> np.ndarray:
     """Bell weights (n, 4) of rho_{p,sigma} from p and b = p * c(sigma).
 
@@ -187,13 +199,6 @@ def reference_mixture(which: str) -> np.ndarray:
 
 # --- test sets ---------------------------------------------------------------
 
-def _state_index(mask: np.ndarray) -> np.ndarray:
-    """Positions of the True entries: int32 when every position fits, half
-    the memory of intp; ``take`` accepts either and gathers the same values."""
-    index = np.flatnonzero(mask)
-    return index.astype(np.int32) if len(mask) <= np.iinfo(np.int32).max else index
-
-
 @dataclass
 class TestSet:
     """Finite prior over candidate states, each given by its four Bell weights.
@@ -205,17 +210,22 @@ class TestSet:
     vector; a row-major array gives the same results, slower.
     ``negativities`` and ``purities`` are computed from the Bell weights
     (``bell_diagonal_negativity``, ``bell_diagonal_purity``).  Without
-    ``prior_weights`` the prior is uniform; given ones must have shape
-    (n,), be non-negative and sum to 1 within 1e-12, so a NaN or infinite
-    entry is refused.  A sequential update starts from the last
-    posterior: ``TestSet(ts.bell_weights, post.weights)``.
+    ``prior_weights`` the prior is uniform: a read-only (n,) view of the
+    single value 1/n (``np.broadcast_to``, stride 0), so it holds no
+    n-sized buffer and writing to it raises ValueError.  Given ones must
+    have shape (n,), be non-negative and sum to 1 within 1e-12, so a NaN
+    or infinite entry is refused.  A sequential update starts from the
+    last posterior: ``TestSet(ts.bell_weights, post.weights)``.
 
     ``entangled_index`` lists the states with negativity above
-    ``linalg.NEGATIVITY_FLOOR``; ``separable_index`` lists the rest.  The
+    ``linalg.NEGATIVITY_FLOOR``; ``separable_index`` lists the rest, each
+    in ascending order.  Both are views of one intp partition of
+    range(n), entangled states first, built block by block on first use
+    and cached, so ``negativities`` must not be modified after that.  The
     posterior sums gather through them with ``take``, which is several
     times faster than a boolean mask on an irregular pattern and yields
-    the same array.  Both are computed on first use and cached, so
-    ``negativities`` must not be modified after that.
+    the same array; an intp index is used as it is, where a narrower one
+    would be converted to intp on every ``take``.
     """
 
     bell_weights: np.ndarray
@@ -236,7 +246,7 @@ class TestSet:
             purities[sl] = bell_diagonal_purity(block)
         self.negativities, self.purities = negativities, purities
         if self.prior_weights is None:
-            self.prior_weights = np.full(n, 1.0 / n)
+            self.prior_weights = np.broadcast_to(1.0 / n, (n,))
         self.prior_weights = np.asarray(self.prior_weights, dtype=float)
         _check_simplex(self.prior_weights, (n,), "prior weights")
 
@@ -249,12 +259,31 @@ class TestSet:
         return self.negativities > NEGATIVITY_FLOOR
 
     @cached_property
+    def _partition(self) -> tuple[np.ndarray, int]:
+        """range(n) as one intp array, entangled states first, then separable,
+        each ascending; and the entangled count.  Two block passes: the
+        first counts, the second writes each block's positions in place."""
+        neg = self.negativities
+        n_entangled = sum(np.count_nonzero(neg[sl] > NEGATIVITY_FLOOR) for sl in blocks(len(neg)))
+        partition = np.empty(len(neg), dtype=np.intp)
+        ent, sep = 0, n_entangled
+        for sl in blocks(len(neg)):
+            mask = neg[sl] > NEGATIVITY_FLOOR
+            ent_pos, sep_pos = np.flatnonzero(mask), np.flatnonzero(~mask)
+            np.add(ent_pos, sl.start, out=partition[ent:ent + len(ent_pos)])
+            np.add(sep_pos, sl.start, out=partition[sep:sep + len(sep_pos)])
+            ent, sep = ent + len(ent_pos), sep + len(sep_pos)
+        return partition, n_entangled
+
+    @cached_property
     def entangled_index(self) -> np.ndarray:
-        return _state_index(self.entangled)
+        partition, n_entangled = self._partition
+        return partition[:n_entangled]
 
     @cached_property
     def separable_index(self) -> np.ndarray:
-        return _state_index(~self.entangled)
+        partition, n_entangled = self._partition
+        return partition[n_entangled:]
 
 
 def grid_prior_two_param(n_p: int, n_sigma: int) -> TestSet:
@@ -285,9 +314,7 @@ def simplex_prior_bell_diagonal(n: int, seed: int) -> TestSet:
     """
     if n < 1:
         raise ConfigError(f"sample count must be >= 1, got {n}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     w = np.empty((4, n))
     for sl in blocks(n):
         u0, u1, u2 = np.ascontiguousarray(rng.random((sl.stop - sl.start, 3)).T)

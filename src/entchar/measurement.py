@@ -12,6 +12,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConfigError, DataError
+from .families import _check_seed
 
 #: (first-qubit axis, second-qubit axis) pairs of the default suite.
 DEFAULT_SETTINGS = ((1, 1), (1, 2), (2, 1), (2, 2), (3, 3))
@@ -84,7 +85,9 @@ def simulate_record(
 
     Each setting uses its own RNG substream derived from (seed, setting
     index), so records are reproducible regardless of evaluation order.
+    A seed that is not an integer >= 0 (a bool included) raises ConfigError.
     """
+    seed = _check_seed(seed)
     counts = np.empty((len(settings), 4), dtype=np.int64)
     for s, setting in enumerate(settings):
         rng = np.random.default_rng([seed, s])

@@ -32,6 +32,8 @@ _LOG_2 = np.log(2.0)
 _LOG_QUARTER = np.log(0.25)
 #: Below this argument np.exp returns a subnormal number (or 0).
 _LOG_TINY = np.log(np.finfo(float).tiny)
+#: Entangled states per histogram chunk: numpy's own histogram block.
+_HIST_CHUNK = 65536
 
 #: Same-outcome probability of the XX, YY and ZZ settings (columns) under
 #: each Bell projector |Phi_1>..|Phi_4| (rows); linear in the Bell weights.
@@ -201,6 +203,12 @@ def histogram_negativity(ts: TestSet, weights: np.ndarray, n_bins: int) -> Histo
 
     Entangled and separable states are gathered through the test set's
     cached indices; the masses equal those of boolean-mask selections.
+    The entangled states are gathered and histogrammed in chunks of
+    ``_HIST_CHUNK`` = 65536, and the chunks' masses added in order: numpy
+    accumulates a weighted histogram in internal blocks of exactly 65536
+    elements (``BLOCK`` in ``numpy/lib/_histograms_impl.py``), so the
+    masses equal one call on the whole gathered arrays bit for bit, with
+    no n-sized gather held.
     """
     if len(weights) != ts.n_states:
         raise ConfigError("weights do not match the test set")
@@ -209,10 +217,16 @@ def histogram_negativity(ts: TestSet, weights: np.ndarray, n_bins: int) -> Histo
     top = float(ts.negativities.max())
     if top <= 0.0:
         top = 1.0
-    # A bin count and range, rather than explicit edges, take numpy's
-    # uniform-bin path; the edges and bin assignment are the same.
-    mass, edges = np.histogram(ts.negativities.take(ent), bins=n_bins, range=(0.0, top),
-                               weights=weights.take(ent))
+    mass = 0.0
+    # At least one call, so that the edges (and numpy's check of n_bins)
+    # come from np.histogram even when no state is entangled.  A bin count
+    # and range, rather than explicit edges, take numpy's uniform-bin path;
+    # the edges and bin assignment are the same.
+    for start in range(0, max(len(ent), 1), _HIST_CHUNK):
+        idx = ent[start:start + _HIST_CHUNK]
+        chunk, edges = np.histogram(ts.negativities.take(idx), bins=n_bins, range=(0.0, top),
+                                    weights=weights.take(idx))
+        mass = mass + chunk
     return Histogram(bin_edges=edges, bin_mass=mass, separable_mass=separable_mass)
 
 

@@ -93,6 +93,13 @@ class TestSimulateRecord:
         c = measurement.simulate_record(rho, 500, seed=10)
         assert not np.array_equal(a.counts, c.counts)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True], ids=["negative", "fractional", "bool"])
+    def test_bad_seed(self, seed):
+        # The simplex prior's seed rule: a typed error, never numpy's own
+        # ValueError/TypeError, and no bool written into the record's meta.
+        with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
+            measurement.simulate_record(families.bell_state(1), 10, seed)
+
     def test_frequencies_converge(self):
         # 20 seeded trials at 1e5 shots: every frequency within 5 binomial
         # standard deviations of its probability.

@@ -183,6 +183,16 @@ class TestEntangledIndex:
                               np.arange(prior_set.n_states))
         assert prior_set.entangled_index is ent  # cached, not recomputed
 
+    def test_indices_are_intp_views_of_one_partition(self, prior_set):
+        # intp, so that ``take`` gathers through them without converting
+        # them first; one buffer, entangled states first, each part ascending.
+        ent, sep = prior_set.entangled_index, prior_set.separable_index
+        assert ent.dtype == np.intp and sep.dtype == np.intp
+        assert ent.base is not None and ent.base is sep.base
+        mask = prior_set.entangled
+        assert np.array_equal(ent.base, np.concatenate([np.flatnonzero(mask),
+                                                        np.flatnonzero(~mask)]))
+
     @pytest.mark.parametrize("shots", [400, 10_000])
     @pytest.mark.parametrize("source", ["two_param", "rho1"])
     def test_masses_equal_boolean_mask_sums(self, prior_set, shots, source):
@@ -201,6 +211,39 @@ class TestEntangledIndex:
         assert np.array_equal(hist.bin_edges, edges)
 
 
+class TestDefaultPrior:
+    """An omitted prior is a read-only stride-0 view of 1/n, and every output
+    equals that of an explicit ``np.full(n, 1/n)`` prior bit for bit."""
+
+    def test_holds_no_n_sized_buffer(self, prior_set):
+        prior = prior_set.prior_weights
+        assert prior.shape == (prior_set.n_states,)
+        assert prior.strides == (0,)
+
+    def test_is_read_only(self, prior_set):
+        with pytest.raises(ValueError):
+            prior_set.prior_weights[0] = 1.0
+
+    def test_outputs_equal_an_explicit_uniform_prior(self, prior_set):
+        n = prior_set.n_states
+        explicit = families.TestSet(prior_set.bell_weights, np.full(n, 1.0 / n))
+        assert explicit.prior_weights.strides == (8,)
+        rec = measurement.simulate_record(families.reference_mixture("rho1"), 400, seed=7)
+        outputs = []
+        for ts in (prior_set, explicit):
+            prior_hist = posterior.histogram_negativity(ts, ts.prior_weights, 100)
+            post = posterior.update_posterior(ts, rec)
+            hist = posterior.histogram_negativity(ts, post.weights, 50)
+            again = posterior.update_posterior(families.TestSet(ts.bell_weights, post.weights), rec)
+            outputs.append([prior_hist.bin_mass, prior_hist.bin_edges,
+                            np.array(prior_hist.separable_mass), post.weights,
+                            hist.bin_mass, hist.bin_edges, np.array(hist.separable_mass),
+                            posterior.mean_state(ts, post), again.weights,
+                            np.array(list(vars(posterior.summarize(ts, post)).values()))])
+        for default, full in zip(*outputs):
+            assert np.array_equal(default, full)
+
+
 class TestHistogram:
     def test_mass_accounting(self):
         ts = families.grid_prior_two_param(30, 30)
@@ -216,6 +259,29 @@ class TestHistogram:
         hist = posterior.histogram_negativity(ts, ts.prior_weights, 10)
         assert hist.separable_mass == pytest.approx(1.0)
         np.testing.assert_allclose(hist.bin_mass, 0.0)
+        # No entangled state: exact zero masses over (0, 1].
+        assert len(ts.entangled_index) == 0
+        assert np.array_equal(hist.bin_mass, np.zeros(10))
+        assert np.array_equal(hist.bin_edges, np.linspace(0.0, 1.0, 11))
+
+    def test_chunked_masses_equal_one_histogram(self):
+        # More than two 65536-state chunks of entangled states, and a count
+        # that is no multiple of 65536: if numpy's internal histogram block
+        # changed, the chunk sums would round differently from one call.
+        rng = np.random.default_rng(12)
+        n_ent, n_sep = 2 * 65536 + 1234, 500
+        p = np.concatenate([rng.uniform(0.34, 1.0, n_ent), rng.uniform(0.0, 0.33, n_sep)])
+        ts = families.TestSet(families.two_param_bell_weights(p, p))
+        ent = ts.entangled_index
+        assert len(ent) == n_ent
+        weights = rng.random(ts.n_states)
+        weights /= weights.sum()
+        hist = posterior.histogram_negativity(ts, weights, 50)
+        mass, edges = np.histogram(ts.negativities.take(ent), bins=50,
+                                   range=(0.0, float(ts.negativities.max())),
+                                   weights=weights.take(ent))
+        assert np.array_equal(hist.bin_mass, mass)
+        assert np.array_equal(hist.bin_edges, edges)
 
     def test_mass_lands_in_correct_bin(self):
         ts = bell_diag_set([[1.0, 0.0, 0.0, 0.0], [0.75, 0.25, 0.0, 0.0]])
@@ -298,6 +364,8 @@ class TestAllocationPeak:
     N = 200_000
     #: Sixteen float64 vectors of one block.
     SCRATCH = 16 * 8 * families.BLOCK
+    #: A block's mask and intp positions, for each side of the partition.
+    INDEX_SCRATCH = 2 * (1 + 8) * families.BLOCK
 
     @pytest.fixture
     def traced(self):
@@ -308,9 +376,10 @@ class TestAllocationPeak:
     def test_simplex_prior_build(self, traced):
         ts = families.simplex_prior_bell_diagonal(self.N, seed=0)
         held, peak = tracemalloc.get_traced_memory()
-        # Bell weights 32 B, negativity, purity and prior 8 B each per state.
-        assert held >= 56 * self.N
-        assert peak <= 56 * self.N + self.SCRATCH
+        # Bell weights 32 B, negativity and purity 8 B each per state; the
+        # uniform prior is a stride-0 view and holds no buffer.
+        assert held >= 48 * self.N
+        assert peak <= 48 * self.N + self.SCRATCH
         assert ts.n_states == self.N
 
     def test_update_posterior(self, traced):
@@ -323,3 +392,37 @@ class TestAllocationPeak:
         # The posterior weights, 8 B per state, are all it keeps.
         assert peak - before <= 8 * self.N + self.SCRATCH
         assert len(post.weights) == self.N
+
+    @pytest.fixture(params=["simplex", "all_entangled"])
+    def first_call(self, request, traced):
+        """A new test set and a posterior on it, before any index is built:
+        the uniform simplex prior (about half its states entangled) or one
+        whose every state is entangled, where each gather is n-sized."""
+        if request.param == "simplex":
+            ts = families.simplex_prior_bell_diagonal(self.N, seed=0)
+        else:
+            p = np.linspace(0.5, 1.0, self.N)
+            ts = families.TestSet(families.two_param_bell_weights(p, p))
+        rec = measurement.simulate_record(families.reference_mixture("rho1"), 1000, seed=0)
+        return ts, posterior.update_posterior(ts, rec)
+
+    def test_summarize_first_call(self, first_call):
+        ts, post = first_call
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        posterior.summarize(ts, post)
+        peak = tracemalloc.get_traced_memory()[1]
+        # The intp partition it builds and keeps, 8 B per state, one gather
+        # of at most 8 B per state, and the partition's block scratch.
+        assert peak - before <= 16 * self.N + self.INDEX_SCRATCH
+
+    def test_histogram_negativity_first_call(self, first_call):
+        ts, post = first_call
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        posterior.histogram_negativity(ts, post.weights, 50)
+        peak = tracemalloc.get_traced_memory()[1]
+        # The partition, then either the separable gather (at most 8 B per
+        # state) or one 65536-state chunk's two gathers and np.histogram's
+        # block temporaries; no n-sized gather of the entangled states.
+        assert peak - before <= 16 * self.N + self.SCRATCH
