@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from . import families, measurement, posterior
-from .errors import ConfigError
+from .errors import check_int
 from .measurement import FrequencyTable, MeasurementRecord
 
 K_FULL = 11  # 6 local marginals + 5 correlators, as fixed by the published table
@@ -169,10 +169,7 @@ def _log_l(weights, rec: MeasurementRecord) -> float:
 
 def score(log_l: float, k: int, n_m: int) -> ModelScore:
     """AIC and BIC scores: log L - k and log L - k*ln(N_m)/2."""
-    if n_m < 1:
-        raise ConfigError(f"total shot count must be >= 1, got {n_m}")
-    if k < 0:
-        raise ConfigError(f"parameter count must be >= 0, got {k}")
+    n_m, k = check_int(n_m, "total shot count", 1), check_int(k, "parameter count", 0)
     return ModelScore(
         log_l=float(log_l),
         k=k,

@@ -14,6 +14,8 @@ Every error the package raises on purpose is one of two kinds:
 The message says which argument or which part of the record is at fault.
 """
 
+import numbers
+
 
 class EntcharError(Exception):
     """Base class for all entchar errors."""
@@ -25,3 +27,13 @@ class ConfigError(EntcharError):
 
 class DataError(EntcharError):
     """The measurement record, or its fit to the test set, is unusable."""
+
+
+def check_int(value, what: str, low: int, high: int | None = None) -> int:
+    """``value`` as an int; ConfigError unless it is a Python or numpy integer,
+    not a bool, in [low, high] (high None: no upper bound)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < low or (high is not None and value > high)):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ConfigError(f"{what} must be an integer {bound}, got {value!r}")
+    return int(value)

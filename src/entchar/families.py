@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import erf, wofz
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .linalg import NEGATIVITY_FLOOR
 
 _SQRT2 = np.sqrt(2.0)
@@ -112,16 +112,6 @@ def two_param_state(p: float, sigma: float) -> np.ndarray:
     rho[1, 1] = rho[2, 2] = (1.0 - p) / 4.0
     rho[0, 3] = rho[3, 0] = p * coherence_factor(sigma) / 2.0
     return rho
-
-
-def _check_seed(seed) -> int:
-    """The seed as an int; ConfigError unless it is an integer >= 0 (not a bool).
-
-    The rule for every seed the package takes: the simplex prior's and
-    ``measurement.simulate_record``'s."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
-    return int(seed)
 
 
 def two_param_bell_weights(p, b) -> np.ndarray:
@@ -209,7 +199,8 @@ class TestSet:
     buffer), so the likelihood kernel streams each weight as one contiguous
     vector; a row-major array gives the same results, slower.
     ``negativities`` and ``purities`` are computed from the Bell weights
-    (``bell_diagonal_negativity``, ``bell_diagonal_purity``).  Without
+    (``bell_diagonal_negativity``, ``bell_diagonal_purity``) and are
+    read-only, so writing to them raises ValueError.  Without
     ``prior_weights`` the prior is uniform: a read-only (n,) view of the
     single value 1/n (``np.broadcast_to``, stride 0), so it holds no
     n-sized buffer and writing to it raises ValueError.  Given ones must
@@ -221,7 +212,8 @@ class TestSet:
     ``linalg.NEGATIVITY_FLOOR``; ``separable_index`` lists the rest, each
     in ascending order.  Both are views of one intp partition of
     range(n), entangled states first, built block by block on first use
-    and cached, so ``negativities`` must not be modified after that.  The
+    and cached, so ``negativities`` must not be replaced after that.  The
+    partition stays writeable, as ``take`` copies an index that is not.  The
     posterior sums gather through them with ``take``, which is several
     times faster than a boolean mask on an irregular pattern and yields
     the same array; an intp index is used as it is, where a narrower one
@@ -244,6 +236,7 @@ class TestSet:
             _check_simplex(block, (len(block), 4), "Bell weights")
             negativities[sl] = bell_diagonal_negativity(block)
             purities[sl] = bell_diagonal_purity(block)
+        negativities.flags.writeable = purities.flags.writeable = False
         self.negativities, self.purities = negativities, purities
         if self.prior_weights is None:
             self.prior_weights = np.broadcast_to(1.0 / n, (n,))
@@ -293,8 +286,7 @@ def grid_prior_two_param(n_p: int, n_sigma: int) -> TestSet:
     sigma = sigma_axis[i % n_sigma], where the axes are
     ``np.linspace(0, 1, n_p)`` and ``np.linspace(0, pi, n_sigma)``.
     """
-    if n_p < 2 or n_sigma < 2:
-        raise ConfigError(f"grid must be at least 2x2, got {n_p}x{n_sigma}")
+    n_p, n_sigma = check_int(n_p, "grid size n_p", 2), check_int(n_sigma, "grid size n_sigma", 2)
     p_axis = np.linspace(0.0, 1.0, n_p)
     c_axis = np.array([coherence_factor(s) for s in np.linspace(0.0, np.pi, n_sigma)])
     p = np.repeat(p_axis, n_sigma)
@@ -312,9 +304,8 @@ def simplex_prior_bell_diagonal(n: int, seed: int) -> TestSet:
     are written into a (4, n) buffer whose transpose is the Bell weights;
     the values equal a row-wise ``np.sort`` and ``np.diff``.
     """
-    if n < 1:
-        raise ConfigError(f"sample count must be >= 1, got {n}")
-    rng = np.random.default_rng(_check_seed(seed))
+    n = check_int(n, "sample count", 1)
+    rng = np.random.default_rng(check_int(seed, "seed", 0))
     w = np.empty((4, n))
     for sl in blocks(n):
         u0, u1, u2 = np.ascontiguousarray(rng.random((sl.stop - sl.start, 3)).T)

@@ -10,6 +10,10 @@ This is double the (||.||_1 - 1)/2 normalization that also appears in the
 literature.  With this choice a maximally entangled pure two-qubit state
 has N = 1 and the family rho_{p,sigma} used elsewhere in this package has
 N(rho_{0.4,0.4}) = 0.0843.
+
+``validate_state`` is the one density-matrix rule (ConfigError).  Every
+function given a state applies it first: ``negativity``, ``purity`` and the
+measurement module's ``outcome_probabilities`` and ``chsh_values``.
 """
 
 import numpy as np
@@ -29,21 +33,18 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = {1: PAULI_X, 2: PAULI_Y, 3: PAULI_Z}
 
 
-def _hermiticity_defect(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m - m.conj().T)))
-
-
 def validate_state(m: np.ndarray) -> np.ndarray:
     """Check that ``m`` is a physical two-qubit density matrix.
 
     Returns the matrix (as a complex ndarray) when it is Hermitian, has
-    unit trace and is positive semidefinite; raises otherwise.
+    unit trace and is positive semidefinite; raises ConfigError otherwise.
+    A NaN or infinite entry makes the hermiticity defect NaN, which fails.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
         raise ConfigError(f"expected a 4x4 matrix, got shape {m.shape}")
-    defect = _hermiticity_defect(m)
-    if defect > HERMITIAN_TOL:
+    defect = float(np.max(np.abs(m - m.conj().T)))
+    if not defect <= HERMITIAN_TOL:
         raise ConfigError(f"hermiticity defect {defect:.3e} exceeds {HERMITIAN_TOL:.0e}")
     tr = np.trace(m)
     if abs(tr - 1.0) > TRACE_TOL:
@@ -65,23 +66,13 @@ def partial_transpose(rho: np.ndarray) -> np.ndarray:
 
 def negativity(rho: np.ndarray) -> float:
     """N(rho) = ||rho^{T_B}||_1 - 1 (see module docstring for convention)."""
-    evals = np.linalg.eigvalsh(partial_transpose(rho))
+    evals = np.linalg.eigvalsh(partial_transpose(validate_state(rho)))
     n = -2.0 * float(evals[evals < 0].sum())
     return n if n > NEGATIVITY_FLOOR else 0.0
 
 
 def purity(rho: np.ndarray) -> float:
     """Tr(rho^2); 0.25 for the maximally mixed state, 1 for pure states."""
-    rho = np.asarray(rho, dtype=complex)
+    rho = validate_state(rho)
     return float(np.real(np.trace(rho @ rho)))
 
-
-def expectation(rho: np.ndarray, obs: np.ndarray) -> float:
-    """Tr(rho * obs) for a Hermitian observable."""
-    obs = np.asarray(obs, dtype=complex)
-    if _hermiticity_defect(obs) > 1e-10:
-        raise ConfigError("observable is not Hermitian within 1e-10")
-    val = np.trace(np.asarray(rho, dtype=complex) @ obs)
-    if abs(val.imag) > 1e-10:
-        raise ConfigError(f"expectation has imaginary residue {val.imag:.3e}")
-    return float(val.real)

@@ -2,7 +2,8 @@
 
 The default suite measures the five spin-spin correlations
 (X,X), (X,Y), (Y,X), (Y,Y) and (Z,Z), with outcomes per setting ordered
-(+,+), (+,-), (-,+), (-,-).
+(+,+), (+,-), (-,+), (-,-).  States are checked by ``linalg.validate_state``
+(ConfigError), and records by ``MeasurementRecord`` when built (DataError).
 """
 
 import json
@@ -11,8 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import ConfigError, DataError
-from .families import _check_seed
+from .errors import ConfigError, DataError, check_int
 
 #: (first-qubit axis, second-qubit axis) pairs of the default suite.
 DEFAULT_SETTINGS = ((1, 1), (1, 2), (2, 1), (2, 2), (3, 3))
@@ -21,25 +21,37 @@ DEFAULT_SETTINGS = ((1, 1), (1, 2), (2, 1), (2, 2), (3, 3))
 OUTCOME_SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 _I2 = np.eye(2, dtype=complex)
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass
 class MeasurementRecord:
-    """Per-setting outcome counts for a set of correlation measurements."""
+    """Per-setting outcome counts for a set of correlation measurements.
+
+    Every record, however it is built, holds one or more settings and one
+    row of 4 counts per setting (ordered per OUTCOME_SIGNS), each finite
+    and >= 0, else DataError; expected counts may be fractional.
+    """
 
     settings: tuple
-    counts: np.ndarray  # shape (n_settings, 4), counts ordered per OUTCOME_SIGNS
+    counts: np.ndarray  # shape (n_settings, 4)
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        try:
+            counts = self.counts = np.asarray(self.counts)
+        except ValueError:  # rows of different lengths
+            counts = np.empty((0, 0))
+        if len(self.settings) == 0 or counts.shape != (len(self.settings), 4):
+            raise DataError("record must hold one or more settings, each with a row of 4 counts")
+        if counts.dtype.kind not in "iuf" or not (np.isfinite(counts).all() and counts.min() >= 0):
+            raise DataError("outcome counts must be finite numbers >= 0")
 
     @property
     def n_total(self) -> int:
         """Total number of shots across all settings, rounded to the nearest
         integer so that expected-count records report their shot budget."""
         return int(round(self.counts.sum()))
-
-    @property
-    def setting_totals(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
 
 
 @dataclass
@@ -61,16 +73,14 @@ def spin_projector(axis: int, sign: int) -> np.ndarray:
 
 
 def outcome_probabilities(rho: np.ndarray, setting) -> np.ndarray:
-    """Probabilities of the four (+/-,+/-) outcomes for one setting."""
+    """Probabilities of the four (+/-,+/-) outcomes for one setting, clipped
+    to [0, 1]; ConfigError unless rho is a density matrix."""
+    rho = linalg.validate_state(rho)
     a, b = setting
     probs = np.empty(4)
     for k, (sa, sb) in enumerate(OUTCOME_SIGNS):
         op = np.kron(spin_projector(a, sa), spin_projector(b, sb))
-        probs[k] = np.real(np.trace(np.asarray(rho, dtype=complex) @ op))
-    if probs.min() <= -1e-10:
-        raise ConfigError(f"negative outcome probability {probs.min():.3e}")
-    if abs(probs.sum() - 1.0) >= 1e-12:
-        raise ConfigError(f"outcome probabilities sum to {probs.sum():.15g}, not 1")
+        probs[k] = np.real(np.trace(rho @ op))
     return np.clip(probs, 0.0, 1.0)
 
 
@@ -85,29 +95,28 @@ def simulate_record(
 
     Each setting uses its own RNG substream derived from (seed, setting
     index), so records are reproducible regardless of evaluation order.
-    A seed that is not an integer >= 0 (a bool included) raises ConfigError.
+    The seed must be an integer >= 0 and the shots one in [0, int64 max //
+    len(settings)], so that the total fits in int64; else ConfigError.
     """
-    seed = _check_seed(seed)
+    seed = check_int(seed, "seed", 0)
+    shots = check_int(shots_per_setting, "shots per setting", 0,
+                      _INT64_MAX // max(len(settings), 1))
     counts = np.empty((len(settings), 4), dtype=np.int64)
     for s, setting in enumerate(settings):
         rng = np.random.default_rng([seed, s])
-        counts[s] = rng.multinomial(shots_per_setting, outcome_probabilities(rho, setting))
-    meta = {"seed": seed, "label": label, "shots_per_setting": shots_per_setting}
+        counts[s] = rng.multinomial(shots, outcome_probabilities(rho, setting))
+    meta = {"seed": seed, "label": label, "shots_per_setting": shots}
     return MeasurementRecord(settings=tuple(settings), counts=counts, meta=meta)
 
 
 def frequencies(rec: MeasurementRecord) -> FrequencyTable:
     """Relative frequencies f = count / N_setting for every setting."""
-    totals = rec.setting_totals
+    totals = rec.counts.sum(axis=1)
     if np.any(totals == 0):
         empty = [rec.settings[i] for i in np.flatnonzero(totals == 0)]
         raise DataError(f"settings with zero counts: {empty}")
     return FrequencyTable(settings=rec.settings, freqs=rec.counts / totals[:, None],
                           counts=rec.counts)
-
-
-def _correlation(rho: np.ndarray, a: int, b: int) -> float:
-    return linalg.expectation(rho, np.kron(linalg.PAULIS[a], linalg.PAULIS[b]))
 
 
 def chsh_values(rho: np.ndarray) -> np.ndarray:
@@ -118,11 +127,12 @@ def chsh_values(rho: np.ndarray) -> np.ndarray:
         B_2 = c11 + c12 - c21 + c22
         B_3 = c11 - c12 + c21 + c22
         B_4 = -c11 + c12 + c21 + c22
+
+    ConfigError unless rho is a density matrix.
     """
-    c11 = _correlation(rho, 1, 1)
-    c12 = _correlation(rho, 1, 2)
-    c21 = _correlation(rho, 2, 1)
-    c22 = _correlation(rho, 2, 2)
+    rho = linalg.validate_state(rho)
+    c11, c12, c21, c22 = (np.trace(rho @ np.kron(linalg.PAULIS[a], linalg.PAULIS[b])).real
+                          for a, b in ((1, 1), (1, 2), (2, 1), (2, 2)))
     return np.array(
         [
             c11 + c12 + c21 - c22,
@@ -151,9 +161,6 @@ def record_to_dict(rec: MeasurementRecord) -> dict:
     }
 
 
-_INT64_MAX = np.iinfo(np.int64).max
-
-
 def _integer(value, what: str) -> int:
     """A JSON integer as an int; integral floats such as 5.0 are accepted."""
     if isinstance(value, float) and value.is_integer():
@@ -164,6 +171,9 @@ def _integer(value, what: str) -> int:
 
 
 def record_from_dict(doc: dict) -> MeasurementRecord:
+    """The record a JSON document describes.  Checked here is what only a file
+    can get wrong: integer axes and counts whose magnitudes sum within int64,
+    so each is an int64, and an object ``meta``; MeasurementRecord checks the rest."""
     try:
         settings = tuple(
             (_integer(s["a"], "setting axis"), _integer(s["b"], "setting axis"))
@@ -175,14 +185,9 @@ def record_from_dict(doc: dict) -> MeasurementRecord:
         raise DataError(f"malformed measurement record: {exc}") from exc
     if not isinstance(meta, dict):
         raise DataError(f"record meta must be a JSON object, got {meta!r}")
-    if len(settings) == 0 or any(len(row) != 4 for row in rows):
-        raise DataError("record must hold settings with 4 outcome counts each")
-    if min(min(row) for row in rows) < 0:
-        raise DataError("negative outcome count")
-    if sum(map(sum, rows)) > _INT64_MAX:
+    if sum(abs(c) for row in rows for c in row) > _INT64_MAX:
         raise DataError(f"outcome counts sum past the int64 limit {_INT64_MAX}")
-    counts = np.array(rows, dtype=np.int64)
-    return MeasurementRecord(settings=settings, counts=counts, meta=dict(meta))
+    return MeasurementRecord(settings=settings, counts=rows, meta=dict(meta))
 
 
 def save_record(rec: MeasurementRecord, path) -> None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import families, linalg, measurement
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_int
 from .families import TestSet
 
 _LOG_2 = np.log(2.0)
@@ -73,7 +73,7 @@ class Histogram:
 
 def log_likelihood(rec: measurement.MeasurementRecord, rho: np.ndarray) -> float:
     """Sum of count * log(outcome probability); -inf if a zero-probability
-    outcome was observed."""
+    outcome was observed.  ConfigError unless rho is a density matrix."""
     total = 0.0
     for setting, row in zip(rec.settings, rec.counts):
         probs = measurement.outcome_probabilities(rho, setting)
@@ -208,8 +208,10 @@ def histogram_negativity(ts: TestSet, weights: np.ndarray, n_bins: int) -> Histo
     accumulates a weighted histogram in internal blocks of exactly 65536
     elements (``BLOCK`` in ``numpy/lib/_histograms_impl.py``), so the
     masses equal one call on the whole gathered arrays bit for bit, with
-    no n-sized gather held.
+    no n-sized gather held.  ``n_bins`` must be an integer >= 1, else
+    ConfigError.
     """
+    n_bins = check_int(n_bins, "bin count", 1)
     if len(weights) != ts.n_states:
         raise ConfigError("weights do not match the test set")
     ent = ts.entangled_index
@@ -218,8 +220,8 @@ def histogram_negativity(ts: TestSet, weights: np.ndarray, n_bins: int) -> Histo
     if top <= 0.0:
         top = 1.0
     mass = 0.0
-    # At least one call, so that the edges (and numpy's check of n_bins)
-    # come from np.histogram even when no state is entangled.  A bin count
+    # At least one call, so that the edges come from np.histogram even
+    # when no state is entangled.  A bin count
     # and range, rather than explicit edges, take numpy's uniform-bin path;
     # the edges and bin assignment are the same.
     for start in range(0, max(len(ent), 1), _HIST_CHUNK):

@@ -255,6 +255,23 @@ class TestCharacterize:
         code = run(["compare", "--record", str(bad), "--out", str(tmp_path / "x.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("rows", [
+        [[5, 5, 5]] + [[5, 5, 5, 5]] * 4,
+        [[2**63, 5, 5, 5]] + [[5, 5, 5, 5]] * 4,
+    ], ids=["rows_of_3_and_4", "one_count_past_int64"])
+    @pytest.mark.parametrize("command", ["characterize", "compare"])
+    def test_malformed_rows_are_data_errors(self, tmp_path, capsys, rows, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "settings": [{"a": a, "b": b, "counts": row}
+                         for (a, b), row in zip([(1, 1), (1, 2), (2, 1), (2, 2), (3, 3)], rows)],
+        }))
+        argv = [command, "--record", str(bad), "--out", str(tmp_path / "x.json")]
+        if command == "characterize":
+            argv += ["--prior", "two-param", "--grid", "10x10"]
+        assert run(argv) == 2
+        assert "entchar: data error:" in capsys.readouterr().err
+
     def test_corrupt_record(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{ nope")

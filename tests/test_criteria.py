@@ -290,6 +290,10 @@ class TestScore:
             criteria.score(0.0, 2, 0)
         with pytest.raises(ConfigError):
             criteria.score(0.0, -1, 100)
+        with pytest.raises(ConfigError):
+            criteria.score(0.0, 1.5, 100)
+        with pytest.raises(ConfigError):
+            criteria.score(0.0, 2, 100.0)
 
 
 class TestNesting:

@@ -191,6 +191,15 @@ class TestGridPrior:
         with pytest.raises(ConfigError):
             families.grid_prior_two_param(1, 5)
 
+    @pytest.mark.parametrize("grid", [(5, 1), (2.5, 3), (3, 4.0), (True, 3)])
+    def test_bad_size(self, grid):
+        with pytest.raises(ConfigError, match="grid size n_(p|sigma) must be an integer >= 2"):
+            families.grid_prior_two_param(*grid)
+
+    def test_numpy_integer_sizes(self):
+        ts = families.grid_prior_two_param(np.int64(3), np.uint16(4))
+        assert np.array_equal(ts.bell_weights, families.grid_prior_two_param(3, 4).bell_weights)
+
     def test_all_states_valid(self):
         # Every node's Bell weights give two_param_state at that node.
         ts = families.grid_prior_two_param(7, 7)
@@ -245,6 +254,11 @@ class TestSimplexPrior:
         with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
             families.simplex_prior_bell_diagonal(10, seed)
 
+    @pytest.mark.parametrize("n", [0, -1, 2.5, True, np.float64(10.0)])
+    def test_bad_sample_count(self, n):
+        with pytest.raises(ConfigError, match="sample count must be an integer >= 1"):
+            families.simplex_prior_bell_diagonal(n, 0)
+
     @pytest.mark.parametrize("n", [1, 2, families.BLOCK - 1, families.BLOCK, families.BLOCK + 1,
                                    2 * families.BLOCK + 3, 100_000])
     @pytest.mark.parametrize("seed", [0, 5, 2026])
@@ -271,6 +285,13 @@ def test_test_set_from_bell_weights_alone():
         rho = families.bell_diagonal_state(ts.bell_weights[i])
         assert abs(ts.negativities[i] - linalg.negativity(rho)) <= 1e-12
         assert abs(ts.purities[i] - linalg.purity(rho)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["negativities", "purities"])
+def test_state_scalars_are_read_only(name):
+    ts = families.simplex_prior_bell_diagonal(10, seed=0)
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(ts, name)[0] = 0.5
 
 
 def test_nan_prior_weight_is_refused():

@@ -1,11 +1,13 @@
-"""Property tests: no record document or state parameter, however malformed, ends in a traceback.
+"""Property tests: no record document, state parameter or integer argument,
+however malformed, ends in a traceback.
 
 ``record_from_dict`` either returns a record or raises DataError,
 and ``entchar compare`` and ``entchar characterize`` (on small priors) on
 any record file exit with 0, 1 or 2.  A characterization that succeeds
 has finite masses that sum to 1.  ``entchar simulate`` with any float
 state parameters, nan, infinities and subnormals included, exits with 0
-or 1.
+or 1.  The library functions that take a seed, a size or a count return a
+result or raise ConfigError for any value.
 """
 
 import contextlib
@@ -13,14 +15,15 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from entchar import cli, measurement  # noqa: E402
-from entchar.errors import DataError  # noqa: E402
+from entchar import cli, families, measurement, posterior  # noqa: E402
+from entchar.errors import ConfigError, DataError  # noqa: E402
 
 scalars = (
     st.none() | st.booleans() | st.integers(-(2**70), 2**70)
@@ -40,8 +43,15 @@ counts = st.integers(0, 40) | st.integers(-3, -1) | st.integers(2**60, 2**64) | 
 setting_docs = st.fixed_dictionaries(
     {"a": axes, "b": axes, "counts": st.lists(counts, min_size=3, max_size=5) | odd}
 )
+#: Settings with valid axes and rows of 3 to 5 valid counts, so that a
+#: record's rows can differ only in length.
+ragged_setting_docs = st.fixed_dictionaries(
+    {"a": st.integers(1, 3), "b": st.integers(1, 3),
+     "counts": st.lists(st.integers(0, 40), min_size=3, max_size=5)}
+)
 loose_records = st.fixed_dictionaries(
-    {"settings": st.lists(setting_docs, max_size=6) | odd}, optional={"meta": values}
+    {"settings": st.lists(setting_docs | ragged_setting_docs, max_size=6) | odd},
+    optional={"meta": values},
 )
 #: Five-setting records with small, often zero, or huge counts.
 default_records = st.tuples(
@@ -152,3 +162,44 @@ def test_simulate_exits_cleanly(workdir, state, p, sigma, k, shots):
         code = cli.main(argv)
     assert code in (0, 1)
     assert "Traceback" not in stderr.getvalue()
+
+
+def integer_like(top):
+    """Integers in [-3, top], as Python and numpy ints, and values that are
+    not integers: floats (integral ones too), bools, None and text."""
+    ints = st.integers(-3, top)
+    return (ints | ints.map(np.int64) | st.integers(0, 255).map(np.uint8) | ints.map(float)
+            | st.floats() | st.booleans() | st.booleans().map(np.bool_)
+            | st.sampled_from([None, "3"]))
+
+
+SMALL_SET = families.simplex_prior_bell_diagonal(50, seed=0)
+_SHOTS_BOUND = np.iinfo(np.int64).max // len(measurement.DEFAULT_SETTINGS)
+
+#: Each library function with integer arguments, called with two of them;
+#: sizes stay at or below 10^3 states, bins or shots, so that no call asks
+#: for a large array.  Seeds and shots may also be huge.
+INTEGER_CALLS = {
+    "simulate_record": (
+        lambda shots, seed: measurement.simulate_record(np.eye(4) / 4.0, shots, seed),
+        integer_like(1000) | st.sampled_from([2**62, _SHOTS_BOUND, _SHOTS_BOUND + 1]),
+        integer_like(2**62) | st.just(2**70)),
+    "simplex_prior_bell_diagonal": (families.simplex_prior_bell_diagonal,
+                                    integer_like(1000), integer_like(2**62)),
+    "grid_prior_two_param": (families.grid_prior_two_param, integer_like(30), integer_like(30)),
+    "histogram_negativity": (
+        lambda n_bins, _: posterior.histogram_negativity(SMALL_SET, SMALL_SET.prior_weights,
+                                                         n_bins),
+        integer_like(1000), st.none()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_CALLS))
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_integer_arguments_return_or_raise_config_error(name, data):
+    call, first, second = INTEGER_CALLS[name]
+    try:
+        call(data.draw(first), data.draw(second))
+    except ConfigError:
+        pass

@@ -55,6 +55,29 @@ class TestValidateState:
         with pytest.raises(ConfigError, match="trace"):
             linalg.validate_state(np.eye(4) / 2.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, value):
+        m = np.eye(4) / 4.0 + 0j
+        m[1, 2] = value
+        with pytest.raises(ConfigError, match="hermiticity defect"):
+            linalg.validate_state(m)
+
+
+def one_triangle_matrix():
+    """I/4 with rho[0, 3] = 0.4 and rho[3, 0] = 0: not Hermitian, though
+    the lower triangle that eigvalsh reads is that of I/4."""
+    m = np.eye(4) / 4.0 + 0j
+    m[0, 3] = 0.4
+    return m
+
+
+@pytest.mark.parametrize("func", [linalg.negativity, linalg.purity])
+@pytest.mark.parametrize("m", [one_triangle_matrix(), np.diag([0.75, 0.75, -0.25, -0.25])],
+                         ids=["non_hermitian", "not_psd"])
+def test_state_functionals_apply_the_state_rule(func, m):
+    with pytest.raises(ConfigError):
+        func(m)
+
 
 class TestPartialTranspose:
     def test_diagonal_state_invariant(self):
@@ -142,21 +165,3 @@ class TestPurity:
     def test_pure_state(self):
         assert linalg.purity(families.bell_state(2)) == pytest.approx(1.0, abs=1e-12)
 
-
-class TestExpectation:
-    def test_mixed_state_xx(self):
-        xx = np.kron(linalg.PAULI_X, linalg.PAULI_X)
-        assert linalg.expectation(IDENTITY4, xx) == pytest.approx(0.0, abs=1e-14)
-
-    def test_bell_correlations(self):
-        phi1 = families.bell_state(1)
-        xx = np.kron(linalg.PAULI_X, linalg.PAULI_X)
-        yy = np.kron(linalg.PAULI_Y, linalg.PAULI_Y)
-        assert linalg.expectation(phi1, xx) == pytest.approx(1.0, abs=1e-12)
-        assert linalg.expectation(phi1, yy) == pytest.approx(-1.0, abs=1e-12)
-
-    def test_rejects_non_hermitian_observable(self):
-        obs = np.zeros((4, 4), dtype=complex)
-        obs[0, 1] = 1.0
-        with pytest.raises(ConfigError, match="observable is not Hermitian"):
-            linalg.expectation(IDENTITY4, obs)

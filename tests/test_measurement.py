@@ -7,6 +7,9 @@ from entchar import families, linalg, measurement, posterior
 from entchar.errors import ConfigError, DataError
 
 IDENTITY4 = np.eye(4) / 4.0
+#: I/4 + X (x) Z / 2: eigenvalues -1/4, -1/4, 3/4, 3/4, yet each of the 20
+#: outcomes of the default settings has probability 1/4.
+HIDDEN_NEGATIVE = IDENTITY4 + 0.5 * np.kron(linalg.PAULI_X, linalg.PAULI_Z)
 
 
 class TestSpinProjector:
@@ -72,13 +75,32 @@ class TestOutcomeProbabilities:
     def test_unphysical_matrices_raise_typed_errors(self):
         # Typed errors, not asserts, so the checks survive `python -O`.
         not_psd = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
-        with pytest.raises(ConfigError, match="negative outcome probability"):
+        with pytest.raises(ConfigError, match="minimum eigenvalue"):
             measurement.outcome_probabilities(not_psd, (3, 3))
-        with pytest.raises(ConfigError, match="outcome probabilities sum to"):
+        with pytest.raises(ConfigError, match="trace"):
             measurement.outcome_probabilities(0.5 * IDENTITY4, (3, 3))
 
 
 class TestSimulateRecord:
+    def test_rejects_non_state_with_valid_outcome_probabilities(self):
+        with pytest.raises(ConfigError, match="minimum eigenvalue"):
+            measurement.simulate_record(HIDDEN_NEGATIVE, 1000, 0)
+
+    @pytest.mark.parametrize("shots", [1.5, True, -1, 2**62, np.float64(3.0)])
+    def test_bad_shots(self, shots):
+        with pytest.raises(ConfigError, match="shots per setting must be an integer"):
+            measurement.simulate_record(IDENTITY4, shots, 0)
+
+    def test_shots_at_the_bound_save_and_load(self, tmp_path):
+        shots = np.int64(np.iinfo(np.int64).max // len(measurement.DEFAULT_SETTINGS))
+        rec = measurement.simulate_record(IDENTITY4, shots, np.uint8(3))
+        assert rec.meta["shots_per_setting"] == int(shots) and type(rec.meta["seed"]) is int
+        path = tmp_path / "rec.json"
+        measurement.save_record(rec, path)
+        loaded = measurement.load_record(path)
+        assert np.array_equal(loaded.counts, rec.counts)
+        assert loaded.meta == rec.meta
+
     def test_impossible_outcomes_never_drawn(self):
         rec = measurement.simulate_record(families.bell_state(1), 100, seed=17)
         xx = rec.counts[0]
@@ -164,7 +186,39 @@ class TestFrequencies:
             measurement.frequencies(rec)
 
 
+class TestRecordRule:
+    """Every MeasurementRecord, however it is built, has one or more settings,
+    one row of 4 counts per setting and finite counts >= 0."""
+
+    @pytest.mark.parametrize("counts", [
+        [[1, 2, 3, -3]] * 5,
+        np.ones((5, 3), dtype=int),
+        np.ones((4, 4), dtype=int),
+        [[1, 2, 3], [1, 2, 3, 4], [1, 2, 3, 4], [1, 2, 3, 4], [1, 2, 3, 4]],
+        [[1.0, 2.0, np.nan, 4.0]] * 5,
+        [[1.0, 2.0, np.inf, 4.0]] * 5,
+        np.ones((5, 4), dtype=bool),
+        [["1", "2", "3", "4"]] * 5,
+    ], ids=["negative", "rows_of_3", "too_few_rows", "ragged", "nan", "inf", "bool", "text"])
+    def test_rejects(self, counts):
+        with pytest.raises(DataError):
+            measurement.MeasurementRecord(settings=measurement.DEFAULT_SETTINGS, counts=counts)
+
+    def test_rejects_no_settings(self):
+        with pytest.raises(DataError):
+            measurement.MeasurementRecord(settings=(), counts=np.empty((0, 4)))
+
+    def test_accepts_expected_counts(self):
+        counts = np.full((5, 4), 2.5)
+        rec = measurement.MeasurementRecord(settings=measurement.DEFAULT_SETTINGS, counts=counts)
+        assert rec.counts is counts
+
+
 class TestChsh:
+    def test_rejects_non_state(self):
+        with pytest.raises(ConfigError, match="minimum eigenvalue"):
+            measurement.chsh_values(HIDDEN_NEGATIVE)
+
     def test_maximally_mixed(self):
         np.testing.assert_allclose(measurement.chsh_values(IDENTITY4), np.zeros(4), atol=1e-12)
         assert not measurement.chsh_violated(IDENTITY4)

@@ -33,6 +33,14 @@ class TestLogLikelihood:
         counts[0, 1] = 1  # XX anti-correlated outcome, impossible for |Phi_1>
         assert posterior.log_likelihood(make_record(counts), families.bell_state(1)) == -np.inf
 
+    def test_rejects_non_state(self):
+        # Every outcome of the default settings has probability 1/4 under
+        # this matrix, but it has eigenvalues -1/4.
+        rec = make_record([[250, 250, 250, 250]] * 5)
+        hidden_negative = IDENTITY4 + 0.5 * np.kron(linalg.PAULI_X, linalg.PAULI_Z)
+        with pytest.raises(ConfigError, match="minimum eigenvalue"):
+            posterior.log_likelihood(rec, hidden_negative)
+
     def test_vector_matches_scalar(self):
         ts = families.grid_prior_two_param(6, 6)
         rec = measurement.simulate_record(families.two_param_state(0.5, 0.3), 200, seed=0)
@@ -303,7 +311,9 @@ class TestHistogram:
         params = np.vstack([params, [[0.25, 0.25, 0.25, 0.25]]])
         weights = np.random.default_rng(3).dirichlet(np.ones(len(params)))
         ts = bell_diag_set(params, weights)
-        ts.negativities[:-1] = negs  # exactly on the edges, free of rounding in p1
+        # Exactly on the edges, free of rounding in p1; the array is read-only,
+        # so it is replaced, before the partition is built.
+        ts.negativities = np.append(negs, ts.negativities[-1])
         ent = ts.entangled
         hist = posterior.histogram_negativity(ts, weights, n_bins)
         assert np.array_equal(hist.bin_edges, edges)
@@ -323,6 +333,17 @@ class TestHistogram:
         ts = bell_diag_set([[0.25, 0.25, 0.25, 0.25]])
         with pytest.raises(ConfigError):
             posterior.histogram_negativity(ts, np.ones(2) / 2, 10)
+
+    @pytest.mark.parametrize("n_bins", [0, -3, 2.5, True, np.float64(4.0)])
+    def test_bad_bin_count(self, n_bins):
+        ts = bell_diag_set([[1.0, 0.0, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25]])
+        with pytest.raises(ConfigError, match="bin count must be an integer >= 1"):
+            posterior.histogram_negativity(ts, np.array([0.5, 0.5]), n_bins)
+
+    def test_numpy_integer_bin_count(self):
+        ts = bell_diag_set([[1.0, 0.0, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25]])
+        hist = posterior.histogram_negativity(ts, np.array([0.5, 0.5]), np.int32(3))
+        np.testing.assert_array_equal(hist.bin_mass, [0.0, 0.0, 0.5])
 
 
 class TestMeanState:
