@@ -25,10 +25,10 @@ comparison share one likelihood and its no-multinomial-coefficient
 convention; all score differences are convention-free.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
 
 from . import families, measurement, posterior
 from .errors import check_int
@@ -59,9 +59,25 @@ class ComparisonReport:
     closed_form: dict
 
 
+def _xlogy(x, y) -> float:
+    """x * log(y) for y >= 0, and 0 where x == 0: the value of
+    scipy.special.xlogy bit for bit, since ``math.log`` is the C library's
+    log, which xlogy calls (numpy's own log may differ by an ulp)."""
+    if x == 0:
+        return 0.0
+    return x * math.log(y) if y > 0 else -math.inf
+
+
+#: Elementwise _xlogy, laid out and summed in xlogy's memory order.
+_XLOGY = np.frompyfunc(_xlogy, 2, 1)
+
+
 def log_l_full_bound(freq: FrequencyTable) -> float:
-    """Entropy bound on the maximum log-likelihood over all states."""
-    return float(xlogy(freq.counts, freq.freqs).sum())
+    """Entropy bound on the maximum log-likelihood over all states.
+
+    The terms and their sum are float64 for every count dtype.
+    """
+    return float(_XLOGY(freq.counts, freq.freqs).astype(float).sum())
 
 
 def fit_bell_diagonal(freq: FrequencyTable):

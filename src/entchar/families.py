@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import erf, wofz
 
 from .errors import ConfigError, check_int
 from .linalg import NEGATIVITY_FLOOR
@@ -70,10 +69,8 @@ BELL_VECTORS = np.array(
 
 
 def bell_state(i: int) -> np.ndarray:
-    """Projector onto |Phi_i>, i in 1..4."""
-    if i not in (1, 2, 3, 4):
-        raise ConfigError(f"Bell state index must be 1..4, got {i}")
-    v = BELL_VECTORS[i - 1]
+    """Projector onto |Phi_i>, i an integer in 1..4 (not a bool)."""
+    v = BELL_VECTORS[check_int(i, "Bell state index", 1, 4) - 1]
     return np.outer(v, v.conj())
 
 
@@ -90,7 +87,12 @@ def coherence_factor(sigma: float) -> float:
     Re[exp(-sigma^2/4) + exp(-pi^2/sigma^2) * w(-sigma/2 + i*pi/sigma)],
     so that no factor overflows at large sigma.  Where pi/sigma overflows
     (sigma = 0 and sigma below 1.75e-308) c takes its limit 1.
+
+    scipy is imported here, not with the module, so only the two-parameter
+    family pays its load time.
     """
+    from scipy.special import erf, wofz
+
     sigma = float(sigma)
     if not np.isfinite(sigma):
         raise ConfigError(f"sigma must be finite, got {sigma}")

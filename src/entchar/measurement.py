@@ -30,7 +30,8 @@ class MeasurementRecord:
 
     Every record, however it is built, holds one or more settings and one
     row of 4 counts per setting (ordered per OUTCOME_SIGNS), each finite
-    and >= 0, else DataError; expected counts may be fractional.
+    and >= 0, else DataError; expected counts may be fractional.  Integer
+    counts must total at most int64 max, so that no sum over them wraps.
     """
 
     settings: tuple
@@ -46,6 +47,9 @@ class MeasurementRecord:
             raise DataError("record must hold one or more settings, each with a row of 4 counts")
         if counts.dtype.kind not in "iuf" or not (np.isfinite(counts).all() and counts.min() >= 0):
             raise DataError("outcome counts must be finite numbers >= 0")
+        # Python ints: a numpy sum of int64 or uint64 counts would wrap.
+        if counts.dtype.kind in "iu" and sum(counts.ravel().tolist()) > _INT64_MAX:
+            raise DataError(f"outcome counts sum past the int64 limit {_INT64_MAX}")
 
     @property
     def n_total(self) -> int:
@@ -64,11 +68,11 @@ class FrequencyTable:
 
 
 def spin_projector(axis: int, sign: int) -> np.ndarray:
-    """Rank-1 projector (I +/- A)/2 onto the +/-1 eigenspace of a spin axis."""
-    if axis not in linalg.PAULIS:
-        raise ConfigError(f"axis must be 1 (X), 2 (Y) or 3 (Z), got {axis}")
-    if sign not in (1, -1):
-        raise ConfigError(f"sign must be +1 or -1, got {sign}")
+    """Rank-1 projector (I +/- A)/2 onto the +/-1 eigenspace of a spin axis:
+    1 (X), 2 (Y) or 3 (Z).  A bool is neither an axis nor a sign."""
+    axis = check_int(axis, "axis", 1, 3)
+    if isinstance(sign, (bool, np.bool_)) or sign not in (1, -1):
+        raise ConfigError(f"sign must be +1 or -1, got {sign!r}")
     return (_I2 + sign * linalg.PAULIS[axis]) / 2.0
 
 
@@ -162,18 +166,21 @@ def record_to_dict(rec: MeasurementRecord) -> dict:
 
 
 def _integer(value, what: str) -> int:
-    """A JSON integer as an int; integral floats such as 5.0 are accepted."""
+    """A JSON integer within int64 as an int; integral floats such as 5.0
+    are accepted."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise DataError(f"{what} {value!r} is not an integer")
+    if not -_INT64_MAX - 1 <= value <= _INT64_MAX:
+        raise DataError(f"{what} {value} is past the int64 limit")
     return value
 
 
 def record_from_dict(doc: dict) -> MeasurementRecord:
     """The record a JSON document describes.  Checked here is what only a file
-    can get wrong: integer axes and counts whose magnitudes sum within int64,
-    so each is an int64, and an object ``meta``; MeasurementRecord checks the rest."""
+    can get wrong: axes and counts that are int64 integers, so the counts load
+    as an int64 array, and an object ``meta``; MeasurementRecord checks the rest."""
     try:
         settings = tuple(
             (_integer(s["a"], "setting axis"), _integer(s["b"], "setting axis"))
@@ -185,8 +192,6 @@ def record_from_dict(doc: dict) -> MeasurementRecord:
         raise DataError(f"malformed measurement record: {exc}") from exc
     if not isinstance(meta, dict):
         raise DataError(f"record meta must be a JSON object, got {meta!r}")
-    if sum(abs(c) for row in rows for c in row) > _INT64_MAX:
-        raise DataError(f"outcome counts sum past the int64 limit {_INT64_MAX}")
     return MeasurementRecord(settings=settings, counts=rows, meta=dict(meta))
 
 

@@ -345,6 +345,17 @@ class TestCompare:
         )
         assert set(comp["closed_form"]) == {"bell_diag", "two_param"}
 
+    def test_total_past_int64_is_data_error(self, tmp_path, capsys):
+        # Each count fits int64, but their int64 sum would wrap negative.
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "settings": [{"a": a, "b": b, "counts": [2**61] * 4}
+                         for a, b in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3)]],
+        }))
+        assert run(["compare", "--record", str(bad), "--out", str(tmp_path / "x.json")]) == 2
+        assert "entchar: data error: outcome counts sum past the int64 limit" in \
+            capsys.readouterr().err
+
 
 class TestPriorHist:
     def test_two_param_grid(self, tmp_path):
@@ -412,3 +423,36 @@ class TestTopLevel:
 
     def test_no_command(self):
         assert run([]) == 1
+
+
+#: Runs the CLI in a fresh interpreter and prints, after the command's own
+#: output, its exit code and whether scipy.special was loaded.
+_IMPORT_PROBE = """
+import sys
+import entchar, entchar.cli
+code = entchar.cli.main(sys.argv[1:])
+print(code, "scipy.special" in sys.modules)
+"""
+
+
+class TestImports:
+    @pytest.mark.parametrize("argv, loads_scipy", [
+        (["prior-hist", "--prior", "bell-diag", "--samples", "1000"], False),
+        (["characterize", "--record", "{rec}", "--prior", "bell-diag", "--samples", "1000"],
+         False),
+        (["compare", "--record", "{rec}"], False),
+        (["simulate", "--state", "rho1", "--shots", "100", "--seed", "1"], False),
+        (["simulate", "--state", "two-param", "--p", "0.4", "--sigma", "0.4", "--shots", "100",
+          "--seed", "1"], True),
+    ], ids=["prior_hist", "characterize", "compare", "simulate_rho1", "simulate_two_param"])
+    def test_scipy_loaded_only_for_the_coherence_factor(self, tmp_path, argv, loads_scipy):
+        rec = tmp_path / "rec.json"
+        assert run(["simulate", "--state", "rho1", "--shots", "100", "--seed", "3",
+                    "--out", str(rec)]) == 0
+        argv = [arg.format(rec=rec) for arg in argv] + ["--out", str(tmp_path / "out.json")]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, *argv], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1].split() == ["0", str(loads_scipy)]

@@ -114,6 +114,28 @@ class TestFullBound:
         )
         assert criteria.log_l_full_bound(freq) == pytest.approx(expected, abs=1e-10)
 
+    @pytest.mark.parametrize("kind", ["small_counts", "large_counts", "expected_counts",
+                                      "column_major"])
+    def test_equals_xlogy_bit_for_bit(self, kind):
+        # The bound is computed without scipy; its terms and sum must be the
+        # ones xlogy gives, zero outcomes and fractional counts included, and
+        # summed in the same order for a column-major count array.
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            if kind == "small_counts":
+                counts = rng.integers(0, 60, (5, 4))
+            elif kind == "large_counts":
+                counts = rng.integers(0, 10**12, (5, 4))
+            elif kind == "expected_counts":
+                counts = rng.random((5, 4)) * 300.0
+            else:
+                counts = (rng.random((4, 5)) * 300.0).T
+            counts[rng.random((5, 4)) < 0.3] = 0
+            counts[:, 0] += 1
+            freq = measurement.frequencies(measurement.MeasurementRecord(
+                settings=measurement.DEFAULT_SETTINGS, counts=counts))
+            assert criteria.log_l_full_bound(freq) == float(xlogy(freq.counts, freq.freqs).sum())
+
     def test_upper_bounds_every_state(self):
         rec = measurement.simulate_record(families.two_param_state(0.5, 0.6), 500, seed=1)
         freq = measurement.frequencies(rec)

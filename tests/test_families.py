@@ -40,6 +40,11 @@ class TestBellStates:
         with pytest.raises(ConfigError):
             families.bell_state(5)
 
+    @pytest.mark.parametrize("index", [True, False, np.bool_(True), 2.0])
+    def test_index_must_be_an_integer(self, index):
+        with pytest.raises(ConfigError):
+            families.bell_state(index)
+
 
 class TestCoherenceFactor:
     def test_zero_width_limit(self):

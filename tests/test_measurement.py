@@ -43,6 +43,13 @@ class TestSpinProjector:
         with pytest.raises(ConfigError):
             measurement.spin_projector(1, 0)
 
+    @pytest.mark.parametrize("axis, sign", [
+        (True, 1), (False, 1), (np.bool_(True), 1), (1, True), (1, np.bool_(True)), (2, False),
+    ])
+    def test_bool_is_neither_axis_nor_sign(self, axis, sign):
+        with pytest.raises(ConfigError):
+            measurement.spin_projector(axis, sign)
+
 
 class TestOutcomeProbabilities:
     def test_maximally_mixed_is_uniform(self):
@@ -199,7 +206,11 @@ class TestRecordRule:
         [[1.0, 2.0, np.inf, 4.0]] * 5,
         np.ones((5, 4), dtype=bool),
         [["1", "2", "3", "4"]] * 5,
-    ], ids=["negative", "rows_of_3", "too_few_rows", "ragged", "nan", "inf", "bool", "text"])
+        np.full((5, 4), 2**61),
+        np.full((5, 4), 2**63, dtype=np.uint64),
+        np.array([[np.iinfo(np.int64).max, 1, 0, 0]] + [[0, 0, 0, 0]] * 4),
+    ], ids=["negative", "rows_of_3", "too_few_rows", "ragged", "nan", "inf", "bool", "text",
+            "int64_total_wraps", "uint64_total", "total_one_past_int64"])
     def test_rejects(self, counts):
         with pytest.raises(DataError):
             measurement.MeasurementRecord(settings=measurement.DEFAULT_SETTINGS, counts=counts)
@@ -207,6 +218,11 @@ class TestRecordRule:
     def test_rejects_no_settings(self):
         with pytest.raises(DataError):
             measurement.MeasurementRecord(settings=(), counts=np.empty((0, 4)))
+
+    def test_accepts_integer_total_at_int64_max(self):
+        counts = np.array([[np.iinfo(np.int64).max - 3, 1, 1, 1]] + [[0, 0, 0, 0]] * 4)
+        rec = measurement.MeasurementRecord(settings=measurement.DEFAULT_SETTINGS, counts=counts)
+        assert rec.n_total == np.iinfo(np.int64).max
 
     def test_accepts_expected_counts(self):
         counts = np.full((5, 4), 2.5)
@@ -278,7 +294,7 @@ class TestRecordSerialization:
         with pytest.raises(DataError):
             measurement.load_record(bad)
 
-    @pytest.mark.parametrize("count", [3.7, 10**30, True, "5"])
+    @pytest.mark.parametrize("count", [3.7, 10**30, 2**63, True, "5"])
     def test_rejects_non_count_values(self, count):
         doc = {"settings": [{"a": 1, "b": 1, "counts": [1, 2, 3, count]}]}
         with pytest.raises(DataError):
