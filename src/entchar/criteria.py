@@ -186,11 +186,12 @@ def _log_l(weights, rec: MeasurementRecord) -> float:
 def score(log_l: float, k: int, n_m: int) -> ModelScore:
     """AIC and BIC scores: log L - k and log L - k*ln(N_m)/2."""
     n_m, k = check_int(n_m, "total shot count", 1), check_int(k, "parameter count", 0)
+    log_l = float(log_l)
     return ModelScore(
-        log_l=float(log_l),
+        log_l=log_l,
         k=k,
-        omega_aic=float(log_l) - k,
-        omega_bic=float(log_l) - k * np.log(n_m) / 2.0,
+        omega_aic=log_l - k,
+        omega_bic=float(log_l - k * np.log(n_m) / 2.0),
         n_m=n_m,
     )
 

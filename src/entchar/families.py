@@ -22,18 +22,21 @@ short row axis, or gathers strided columns, several times slower than it
 streams a contiguous vector.  Every function still accepts any (n, 4)
 layout.
 
-Block rule: the elementwise per-state passes over a test set run in
-blocks of ``BLOCK`` states (``blocks``): the simplex builder's draws and
-sort, the Bell-weight check, the scalars and the entangled/separable
-partition in ``TestSet``, the posterior module's log-likelihood kernel
-and the shift, exponential and prior product of its update.  A block's
-vectors stay in cache, and no pass holds an n-sized temporary beside its
-result.  Each element goes through the same operations in the same
-order, so the values equal the one-shot formulas bit for bit; the
-partition's blocks list their positions in the order ``np.flatnonzero``
-gives for the whole array.  Reductions stay whole-array (the maximum, every
-sum and the posterior moments): numpy sums pairwise, so a sum of block
-sums would round differently from the sum of the whole array.
+Block rule: three per-state passes run in blocks of ``BLOCK`` states
+(``blocks``), because their whole-array forms would hold n-sized float
+temporaries beside their results.  Measured alone at 10^6 states on a
+2-vCPU Xeon (peak traced memory, blocked against whole-array): the
+simplex builder's draws and sort, 34 against 96 MB and about three times
+faster; the Bell-weight check and scalars in ``TestSet``, 16 against
+24 MB and 1.4 times faster; the posterior module's log-likelihood
+kernel, 8 against 32 MB and at least as fast.  Each element goes through
+the same operations in the same order, so the values equal the one-shot
+formulas bit for bit.  Every other pass is whole-array: the posterior
+update works in place on the kernel's output with one boolean mask, and
+the entangled/separable indices come from one boolean mask.  Reductions
+stay whole-array (the maximum, every sum and the posterior moments):
+numpy sums pairwise, so a sum of block sums would round differently from
+the sum of the whole array.
 """
 
 from dataclasses import dataclass, field
@@ -46,7 +49,7 @@ from .linalg import NEGATIVITY_FLOOR
 
 _SQRT2 = np.sqrt(2.0)
 
-#: States per block of the elementwise passes; a block's float64 vector is
+#: States per block of the three blocked passes; a block's float64 vector is
 #: 128 KiB, so the few a pass touches stay in a 2 MiB L2 cache.
 BLOCK = 16384
 
@@ -211,15 +214,15 @@ class TestSet:
     last posterior: ``TestSet(ts.bell_weights, post.weights)``.
 
     ``entangled_index`` lists the states with negativity above
-    ``linalg.NEGATIVITY_FLOOR``; ``separable_index`` lists the rest, each
-    in ascending order.  Both are views of one intp partition of
-    range(n), entangled states first, built block by block on first use
-    and cached, so ``negativities`` must not be replaced after that.  The
-    partition stays writeable, as ``take`` copies an index that is not.  The
-    posterior sums gather through them with ``take``, which is several
-    times faster than a boolean mask on an irregular pattern and yields
-    the same array; an intp index is used as it is, where a narrower one
-    would be converted to intp on every ``take``.
+    ``linalg.NEGATIVITY_FLOOR`` (``entangled``); ``separable_index`` lists
+    the rest.  Both are ascending intp arrays, the ``np.flatnonzero`` of
+    one boolean mask before and after it is inverted in place, built
+    together on first use and cached, so ``negativities`` must not be
+    replaced after that.  The posterior sums gather through them with
+    ``take``, which is several times faster than a boolean mask on an
+    irregular pattern and yields the same array; an intp index is used as
+    it is, where a narrower one would be converted to intp on every
+    ``take``.
     """
 
     bell_weights: np.ndarray
@@ -254,31 +257,19 @@ class TestSet:
         return self.negativities > NEGATIVITY_FLOOR
 
     @cached_property
-    def _partition(self) -> tuple[np.ndarray, int]:
-        """range(n) as one intp array, entangled states first, then separable,
-        each ascending; and the entangled count.  Two block passes: the
-        first counts, the second writes each block's positions in place."""
-        neg = self.negativities
-        n_entangled = sum(np.count_nonzero(neg[sl] > NEGATIVITY_FLOOR) for sl in blocks(len(neg)))
-        partition = np.empty(len(neg), dtype=np.intp)
-        ent, sep = 0, n_entangled
-        for sl in blocks(len(neg)):
-            mask = neg[sl] > NEGATIVITY_FLOOR
-            ent_pos, sep_pos = np.flatnonzero(mask), np.flatnonzero(~mask)
-            np.add(ent_pos, sl.start, out=partition[ent:ent + len(ent_pos)])
-            np.add(sep_pos, sl.start, out=partition[sep:sep + len(sep_pos)])
-            ent, sep = ent + len(ent_pos), sep + len(sep_pos)
-        return partition, n_entangled
+    def _indices(self) -> tuple[np.ndarray, np.ndarray]:
+        mask = self.entangled
+        entangled = np.flatnonzero(mask)
+        # Inverted in place, so that the build holds one 1 B/state mask.
+        return entangled, np.flatnonzero(np.logical_not(mask, out=mask))
 
-    @cached_property
+    @property
     def entangled_index(self) -> np.ndarray:
-        partition, n_entangled = self._partition
-        return partition[:n_entangled]
+        return self._indices[0]
 
-    @cached_property
+    @property
     def separable_index(self) -> np.ndarray:
-        partition, n_entangled = self._partition
-        return partition[n_entangled:]
+        return self._indices[1]
 
 
 def grid_prior_two_param(n_p: int, n_sigma: int) -> TestSet:

@@ -111,23 +111,17 @@ def bell_log_likelihood(weights, rec) -> np.ndarray:
     constant = n_quarter * _LOG_QUARTER - n_split * _LOG_2
     w = np.asarray(weights, dtype=float)
     ll = np.zeros(len(w))
-    # Block scratch, reused: the pair sums and one term.
-    s_buf = np.empty((3, min(len(w), families.BLOCK)))
-    t_buf = np.empty(s_buf.shape[1])
     # Setting by setting; unobserved outcomes are left out, so that
     # 0 * log(0) never arises.
     with np.errstate(divide="ignore"):
         for sl in families.blocks(len(w)):
-            s, term, acc = s_buf[:, :sl.stop - sl.start], t_buf[:sl.stop - sl.start], ll[sl]
-            for row, (i, k) in zip(s, _SAME_OUTCOME_PAIRS):
-                np.add(w[sl, i], w[sl, k], out=row)
-            np.clip(s, 0.0, 1.0, out=s)
-            for row, n_same, n_diff in zip(s, same, diff):
+            acc = ll[sl]
+            for (i, k), n_same, n_diff in zip(_SAME_OUTCOME_PAIRS, same, diff):
+                s = np.clip(w[sl, i] + w[sl, k], 0.0, 1.0)
                 if n_same > 0:
-                    acc += np.multiply(np.log(row, out=term), n_same, out=term)
+                    acc += np.log(s) * n_same
                 if n_diff > 0:
-                    np.negative(row, out=term)
-                    acc += np.multiply(np.log1p(term, out=term), n_diff, out=term)
+                    acc += np.log1p(-s) * n_diff
             acc += constant
     return ll
 
@@ -153,24 +147,31 @@ def update_posterior(ts: TestSet, rec: measurement.MeasurementRecord) -> Posteri
     shift = w.max()
     if not np.isfinite(shift):
         raise DataError("every test state assigns zero probability to the record")
-    prior = ts.prior_weights
-    keep_buf = np.empty(min(len(w), families.BLOCK), dtype=bool)
-    for sl in families.blocks(len(w)):
-        x, keep = w[sl], keep_buf[:sl.stop - sl.start]
-        x -= shift
-        np.greater_equal(x, _LOG_TINY, out=keep)
-        # The clamp comes first: it turns -inf into a finite value, so that
-        # zeroing by ``keep`` never forms -inf * 0 = nan.
-        np.maximum(x, _LOG_TINY, out=x)
-        x *= keep
-        np.exp(x, out=x)
-        x *= keep
-        x *= prior[sl]
+    # Every step runs in place on the kernel's output; the one mask, 1 B
+    # per state, is the only temporary.
+    w -= shift
+    keep = w >= _LOG_TINY
+    # The clamp comes first: it turns -inf into a finite value, so that
+    # zeroing by ``keep`` never forms -inf * 0 = nan.
+    np.maximum(w, _LOG_TINY, out=w)
+    w *= keep
+    np.exp(w, out=w)
+    w *= keep
+    w *= ts.prior_weights
     total = w.sum()
     if total <= 0.0:
         raise DataError("posterior mass vanished after the update")
     w /= total
     return Posterior(weights=w)
+
+
+def _readout_weights(ts: TestSet, weights) -> np.ndarray:
+    """The weights a readout sums, as a float array of shape (n,) for the
+    test set's n states; ConfigError for any other shape."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (ts.n_states,):
+        raise ConfigError(f"weights must have shape ({ts.n_states},), got {w.shape}")
+    return w
 
 
 def summarize(ts: TestSet, post: Posterior) -> EstimateSummary:
@@ -181,9 +182,7 @@ def summarize(ts: TestSet, post: Posterior) -> EstimateSummary:
     are einsum sums of products, which need no squared temporaries and,
     unlike BLAS dot products, do not depend on the BLAS thread count.
     """
-    w = post.weights
-    if len(w) != ts.n_states:
-        raise ConfigError("posterior does not match the test set")
+    w = _readout_weights(ts, post.weights)
     neg, pur = ts.negativities, ts.purities
     neg_mean = float(np.einsum("i,i->", w, neg))
     neg_var = max(0.0, float(np.einsum("i,i,i->", w, neg, neg)) - neg_mean**2)
@@ -208,12 +207,11 @@ def histogram_negativity(ts: TestSet, weights: np.ndarray, n_bins: int) -> Histo
     accumulates a weighted histogram in internal blocks of exactly 65536
     elements (``BLOCK`` in ``numpy/lib/_histograms_impl.py``), so the
     masses equal one call on the whole gathered arrays bit for bit, with
-    no n-sized gather held.  ``n_bins`` must be an integer >= 1, else
-    ConfigError.
+    no n-sized gather held.  ``weights`` must have shape (n,) and ``n_bins``
+    must be an integer >= 1, else ConfigError.
     """
     n_bins = check_int(n_bins, "bin count", 1)
-    if len(weights) != ts.n_states:
-        raise ConfigError("weights do not match the test set")
+    weights = _readout_weights(ts, weights)
     ent = ts.entangled_index
     separable_mass = float(weights.take(ts.separable_index).sum())
     top = float(ts.negativities.max())
@@ -240,9 +238,7 @@ def mean_state(ts: TestSet, post: Posterior) -> np.ndarray:
     mean negativity (the trace norm is convex); a violation means the cached
     negativities do not describe the states, and raises ConfigError.
     """
-    w = post.weights
-    if len(w) != ts.n_states:
-        raise ConfigError("posterior does not match the test set")
+    w = _readout_weights(ts, post.weights)
     rho = families.bell_diagonal_state(np.einsum("i,ij->j", w, ts.bell_weights))
     neg, bound = linalg.negativity(rho), float(np.einsum("i,i->", w, ts.negativities))
     if neg > bound + 1e-9:

@@ -301,6 +301,7 @@ class TestScore:
 
     def test_reference_values(self):
         s = criteria.score(-100.0, 11, 5000)
+        assert type(s.omega_aic) is float and type(s.omega_bic) is float
         assert s.omega_aic == pytest.approx(-111.0)
         assert s.omega_bic == pytest.approx(-100.0 - 11 * LN(5000) / 2)
         s = criteria.score(-100.0, 3, 5000)

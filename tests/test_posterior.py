@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -191,15 +192,14 @@ class TestEntangledIndex:
                               np.arange(prior_set.n_states))
         assert prior_set.entangled_index is ent  # cached, not recomputed
 
-    def test_indices_are_intp_views_of_one_partition(self, prior_set):
+    def test_indices_are_ascending_intp(self, prior_set):
         # intp, so that ``take`` gathers through them without converting
-        # them first; one buffer, entangled states first, each part ascending.
+        # them first; each ascending, as ``np.flatnonzero`` lists them.
         ent, sep = prior_set.entangled_index, prior_set.separable_index
         assert ent.dtype == np.intp and sep.dtype == np.intp
-        assert ent.base is not None and ent.base is sep.base
         mask = prior_set.entangled
-        assert np.array_equal(ent.base, np.concatenate([np.flatnonzero(mask),
-                                                        np.flatnonzero(~mask)]))
+        assert np.array_equal(ent, np.flatnonzero(mask))
+        assert np.array_equal(sep, np.flatnonzero(~mask))
 
     @pytest.mark.parametrize("shots", [400, 10_000])
     @pytest.mark.parametrize("source", ["two_param", "rho1"])
@@ -312,7 +312,7 @@ class TestHistogram:
         weights = np.random.default_rng(3).dirichlet(np.ones(len(params)))
         ts = bell_diag_set(params, weights)
         # Exactly on the edges, free of rounding in p1; the array is read-only,
-        # so it is replaced, before the partition is built.
+        # so it is replaced, before the indices are built.
         ts.negativities = np.append(negs, ts.negativities[-1])
         ent = ts.entangled
         hist = posterior.histogram_negativity(ts, weights, n_bins)
@@ -378,14 +378,50 @@ class TestMeanState:
             posterior.mean_state(ts, posterior.Posterior(weights=np.ones(2) / 2))
 
 
+class TestReadoutWeights:
+    """``summarize``, ``histogram_negativity`` and ``mean_state`` share one
+    weight rule: weights are read as a float array of shape (n,), and any
+    other shape is a ConfigError."""
+
+    READOUTS = ["summarize", "histogram_negativity", "mean_state"]
+
+    @staticmethod
+    def read(readout, ts, w):
+        """The readout's values on weights w, as one array."""
+        if readout == "summarize":
+            return np.array(dataclasses.astuple(posterior.summarize(ts, posterior.Posterior(w))))
+        if readout == "histogram_negativity":
+            hist = posterior.histogram_negativity(ts, w, 5)
+            return np.concatenate([hist.bin_edges, hist.bin_mass, [hist.separable_mass]])
+        return posterior.mean_state(ts, posterior.Posterior(w))
+
+    @pytest.fixture
+    def ts(self):
+        return bell_diag_set([[1.0, 0.0, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25]])
+
+    @pytest.mark.parametrize("readout", READOUTS)
+    def test_list_reads_as_the_array(self, ts, readout):
+        np.testing.assert_array_equal(self.read(readout, ts, [0.75, 0.25]),
+                                      self.read(readout, ts, np.array([0.75, 0.25])))
+
+    @pytest.mark.parametrize("shape", [(2, 1), (1, 2), ()], ids=["column", "row", "scalar"])
+    @pytest.mark.parametrize("readout", READOUTS)
+    def test_other_shapes_are_refused(self, ts, readout, shape):
+        with pytest.raises(ConfigError, match=r"weights must have shape \(2,\)"):
+            self.read(readout, ts, np.full(shape, 0.5))
+
+
 class TestAllocationPeak:
     """Peak traced memory (numpy reports its buffers to tracemalloc) stays at
-    what a pass keeps plus one block's scratch, never an n-sized temporary."""
+    what a pass keeps plus one block's scratch; a whole-array pass may also
+    hold a boolean mask of 1 B per state, never an n-sized float temporary."""
 
     N = 200_000
     #: Sixteen float64 vectors of one block.
     SCRATCH = 16 * 8 * families.BLOCK
-    #: A block's mask and intp positions, for each side of the partition.
+    #: Slack for the first call's index build.  A whole-array pass may hold
+    #: one boolean mask of 1 B per state; the build's mask is freed before
+    #: the gather, so it fits in the gather's 8 B per state.
     INDEX_SCRATCH = 2 * (1 + 8) * families.BLOCK
 
     @pytest.fixture
@@ -433,8 +469,8 @@ class TestAllocationPeak:
         before = tracemalloc.get_traced_memory()[0]
         posterior.summarize(ts, post)
         peak = tracemalloc.get_traced_memory()[1]
-        # The intp partition it builds and keeps, 8 B per state, one gather
-        # of at most 8 B per state, and the partition's block scratch.
+        # The intp indices it builds and keeps, 8 B per state, one gather
+        # of at most 8 B per state, and the index build's slack.
         assert peak - before <= 16 * self.N + self.INDEX_SCRATCH
 
     def test_histogram_negativity_first_call(self, first_call):
@@ -443,7 +479,7 @@ class TestAllocationPeak:
         before = tracemalloc.get_traced_memory()[0]
         posterior.histogram_negativity(ts, post.weights, 50)
         peak = tracemalloc.get_traced_memory()[1]
-        # The partition, then either the separable gather (at most 8 B per
+        # The indices, then either the separable gather (at most 8 B per
         # state) or one 65536-state chunk's two gathers and np.histogram's
         # block temporaries; no n-sized gather of the entangled states.
         assert peak - before <= 16 * self.N + self.SCRATCH
