@@ -22,21 +22,22 @@ short row axis, or gathers strided columns, several times slower than it
 streams a contiguous vector.  Every function still accepts any (n, 4)
 layout.
 
-Block rule: three per-state passes run in blocks of ``BLOCK`` states
-(``blocks``), because their whole-array forms would hold n-sized float
+Block rule: four per-state passes run in blocks of ``BLOCK`` states
+(``blocks``), because their whole-array forms would hold n-sized
 temporaries beside their results.  Measured alone at 10^6 states on a
 2-vCPU Xeon (peak traced memory, blocked against whole-array): the
 simplex builder's draws and sort, 34 against 96 MB and about three times
 faster; the Bell-weight check and scalars in ``TestSet``, 16 against
-24 MB and 1.4 times faster; the posterior module's log-likelihood
-kernel, 8 against 32 MB and at least as fast.  Each element goes through
-the same operations in the same order, so the values equal the one-shot
-formulas bit for bit.  Every other pass is whole-array: the posterior
-update works in place on the kernel's output with one boolean mask, and
-the entangled/separable indices come from one boolean mask.  Reductions
-stay whole-array (the maximum, every sum and the posterior moments):
-numpy sums pairwise, so a sum of block sums would round differently from
-the sum of the whole array.
+32 MB and about twice as fast; the histogram bins of
+``TestSet.negativity_bins``, 1 against 16 MB and 2.5 times faster; the
+posterior module's log-likelihood kernel, 8 against 24 MB and about
+twice as fast.  Each element goes through the same operations in the
+same order, so the values equal the one-shot formulas bit for bit.
+Every other pass is whole-array: the posterior update works in place on
+the kernel's output with one boolean mask, and the entangled/separable
+indices come from one boolean mask.  Reductions stay whole-array (the
+maximum, every sum and the posterior moments): numpy sums pairwise, so
+a sum of block sums would round differently from one whole-array sum.
 """
 
 from dataclasses import dataclass, field
@@ -152,17 +153,17 @@ def bell_diagonal_state(pvec) -> np.ndarray:
     return rho
 
 
-def bell_diagonal_negativity(pvec):
-    """2 * max(0, max_i p_i - 1/2) for each row of Bell-diagonal weights, as (n,)."""
+def bell_diagonal_negativity(pvec, out=None):
+    """2 * max(0, max_i p_i - 1/2) for each row of Bell-diagonal weights, as (n,) or into out."""
     w = np.atleast_2d(pvec)
     top = np.maximum(np.maximum(w[:, 0], w[:, 1]), np.maximum(w[:, 2], w[:, 3]))
-    return 2.0 * np.maximum(0.0, top - 0.5)
+    return np.multiply(2.0, np.maximum(0.0, top - 0.5), out=out)
 
 
-def bell_diagonal_purity(pvec):
-    """Tr(rho^2) = sum_i p_i^2 for each row of Bell-diagonal weights, as (n,)."""
+def bell_diagonal_purity(pvec, out=None):
+    """Tr(rho^2) = sum_i p_i^2 for each row of Bell-diagonal weights, as (n,) or into out."""
     w = np.atleast_2d(pvec)
-    return ((w[:, 0] ** 2 + w[:, 1] ** 2) + w[:, 2] ** 2) + w[:, 3] ** 2
+    return np.add((w[:, 0] ** 2 + w[:, 1] ** 2) + w[:, 2] ** 2, w[:, 3] ** 2, out=out)
 
 
 def rho_k_state(k: float) -> np.ndarray:
@@ -215,20 +216,21 @@ class TestSet:
 
     ``entangled_index`` lists the states with negativity above
     ``linalg.NEGATIVITY_FLOOR`` (``entangled``); ``separable_index`` lists
-    the rest.  Both are ascending intp arrays, the ``np.flatnonzero`` of
-    one boolean mask before and after it is inverted in place, built
-    together on first use and cached, so ``negativities`` must not be
-    replaced after that.  The posterior sums gather through them with
-    ``take``, which is several times faster than a boolean mask on an
-    irregular pattern and yields the same array; an intp index is used as
-    it is, where a narrower one would be converted to intp on every
-    ``take``.
+    the rest.  Both are ascending intp arrays (``np.flatnonzero`` of one
+    boolean mask, then of it inverted in place), built together on first
+    use and cached; ``take`` gathers through them several times faster
+    than a boolean mask, and an intp index needs no conversion.  Beside
+    them, ``negativity_bins`` caches each entangled state's histogram bin
+    for the last bin count, in the smallest unsigned dtype (1 B per state
+    up to 256 bins).  ``negativities`` must not be replaced once a cache
+    is built.
     """
 
     bell_weights: np.ndarray
     prior_weights: np.ndarray | None = None
     negativities: np.ndarray = field(init=False, repr=False, compare=False)
     purities: np.ndarray = field(init=False, repr=False, compare=False)
+    _bins: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         weights = self.bell_weights = np.asarray(self.bell_weights, dtype=float)
@@ -239,8 +241,8 @@ class TestSet:
         for sl in blocks(n):
             block = weights[sl]
             _check_simplex(block, (len(block), 4), "Bell weights")
-            negativities[sl] = bell_diagonal_negativity(block)
-            purities[sl] = bell_diagonal_purity(block)
+            bell_diagonal_negativity(block, out=negativities[sl])
+            bell_diagonal_purity(block, out=purities[sl])
         negativities.flags.writeable = purities.flags.writeable = False
         self.negativities, self.purities = negativities, purities
         if self.prior_weights is None:
@@ -270,6 +272,27 @@ class TestSet:
     @property
     def separable_index(self) -> np.ndarray:
         return self._indices[1]
+
+    def negativity_bins(self, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
+        """Edges of ``n_bins`` equal bins over [0, top] and, per entangled
+        state, its bin, as ``np.histogram`` assigns it; top is the largest
+        negativity, or 1 if none is positive.  Cached for the last ``n_bins``."""
+        n_bins, cache = check_int(n_bins, "bin count", 1), self._bins
+        if not cache or cache[0] != n_bins:
+            top = float(self.negativities.max()) or 1.0
+            edges = np.histogram_bin_edges(self.negativities, n_bins, range=(0.0, top))
+            ent = self.entangled_index
+            index = np.empty(len(ent), np.min_scalar_type(n_bins - 1))
+            for sl in blocks(len(ent)):
+                neg = self.negativities.take(ent[sl])
+                # numpy's uniform-bin path: scale, then correct by one bin where
+                # rounding crossed an edge; the last bin is closed.
+                i = np.minimum((neg / top * n_bins).astype(np.intp), n_bins - 1)
+                i[neg < edges[i]] -= 1
+                i[(neg >= edges[i + 1]) & (i != n_bins - 1)] += 1
+                index[sl] = i
+            cache = self._bins = n_bins, edges, index
+        return cache[1:]
 
 
 def grid_prior_two_param(n_p: int, n_sigma: int) -> TestSet:

@@ -4,9 +4,12 @@ Every test state is Bell-diagonal.  This module alone states what four
 Bell weights predict on the five default settings (``SAME_OUTCOME_MAP``),
 which record counts those predictions read (``same_different_counts``),
 and the likelihood kernel built on both (``bell_log_likelihood``), which
-the posterior and the fits in ``criteria`` share.  The posterior mean
-state is the Bell-diagonal state of the mean weights.  ``log_likelihood``
-is the generic per-state version for any density matrix.
+the posterior and the fits in ``criteria`` share.  The kernel takes one
+log per distinct pair sum w_a + w_b: the different-outcome pairs are the
+same-outcome pairs' complements, so nothing is clipped, and Bell-weight
+columns equal in every state are merged.  The posterior mean state is
+the Bell-diagonal state of the mean weights.  ``log_likelihood`` is the
+generic per-state version for any density matrix.
 
 Log-likelihoods drop the multinomial coefficient: it is constant across
 states, cancels in the posterior normalization, and the model-comparison
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import families, linalg, measurement
-from .errors import ConfigError, DataError, check_int
+from .errors import ConfigError, DataError
 from .families import TestSet
 
 _LOG_2 = np.log(2.0)
@@ -42,8 +45,8 @@ SAME_OUTCOME_MAP = np.array([[1.0, 0.0, 1.0],
                              [1.0, 1.0, 0.0],
                              [0.0, 0.0, 0.0]])
 
-#: The two Bell weights that sum to each setting's same-outcome probability.
-_SAME_OUTCOME_PAIRS = [tuple(np.flatnonzero(col)) for col in SAME_OUTCOME_MAP.T]
+#: Pairs (a, b) of outcome probability (w_a + w_b)/2: XX, YY, ZZ same, then different.
+_OUTCOME_PAIRS = [tuple(np.flatnonzero(col == v)) for v in (1, 0) for col in SAME_OUTCOME_MAP.T]
 
 
 @dataclass
@@ -96,32 +99,43 @@ def same_different_counts(rec_or_freq):
     return split[:, 0] + split[:, 3], split[:, 1] + split[:, 2]
 
 
+def _equal_columns(w: np.ndarray) -> list:
+    """For each Bell-weight column, the first column equal to it in every state."""
+    def equal(j, k):  # row 0 first, then block by block up to the first mismatch
+        return (w[:1, j] == w[:1, k]).all() and all(
+            (w[sl, j] == w[sl, k]).all() for sl in families.blocks(len(w)))
+
+    return [next((j for j in range(k) if equal(j, k)), k) for k in range(w.shape[1])]
+
+
 def bell_log_likelihood(weights, rec) -> np.ndarray:
     """Log-likelihood of a default-settings record under rows of Bell weights (n, 4).
 
-    Each state predicts s/2 for the two same outcomes and (1-s)/2 for the
-    two different outcomes of XX, YY and ZZ, with s = w @ SAME_OUTCOME_MAP
-    clipped to [0, 1], and 1/4 for every XY and YX outcome, whose total is
-    every count outside XX, YY and ZZ.  An observed zero-probability
-    outcome gives -inf.  ``rec`` is a MeasurementRecord or a FrequencyTable.
+    Sum of count * log(w_a + w_b) over the outcome pairs, plus the XY/YX
+    outcomes' log(1/4) and -log 2 per XX, YY and ZZ count; columns equal in
+    every row of ``weights`` (w_3 = w_4 on the two-parameter grid) are
+    merged, so an equal pair sum takes one log for its added counts.  An
+    observed zero-probability outcome gives -inf.  ``rec`` is a
+    MeasurementRecord or a FrequencyTable.
     """
     same, diff = same_different_counts(rec)
     n_split = float(same.sum() + diff.sum())
     n_quarter = float(rec.counts.sum() - same.sum() - diff.sum())
     constant = n_quarter * _LOG_QUARTER - n_split * _LOG_2
     w = np.asarray(weights, dtype=float)
+    # Counts per distinct pair sum; unobserved outcomes are left out, so
+    # that 0 * log(0) never arises.
+    first, terms = _equal_columns(w), {}
+    for (i, k), n in zip(_OUTCOME_PAIRS, np.concatenate([same, diff])):
+        if n > 0:
+            pair = tuple(sorted((first[i], first[k])))
+            terms[pair] = terms.get(pair, 0) + n
     ll = np.zeros(len(w))
-    # Setting by setting; unobserved outcomes are left out, so that
-    # 0 * log(0) never arises.
     with np.errstate(divide="ignore"):
         for sl in families.blocks(len(w)):
             acc = ll[sl]
-            for (i, k), n_same, n_diff in zip(_SAME_OUTCOME_PAIRS, same, diff):
-                s = np.clip(w[sl, i] + w[sl, k], 0.0, 1.0)
-                if n_same > 0:
-                    acc += np.log(s) * n_same
-                if n_diff > 0:
-                    acc += np.log1p(-s) * n_diff
+            for (i, k), n in terms.items():
+                acc += np.log(w[sl, i] + w[sl, k]) * n
             acc += constant
     return ll
 
@@ -200,34 +214,25 @@ def summarize(ts: TestSet, post: Posterior) -> EstimateSummary:
 def histogram_negativity(ts: TestSet, weights: np.ndarray, n_bins: int) -> Histogram:
     """Histogram of negativity under the given weights (prior or posterior).
 
-    Entangled and separable states are gathered through the test set's
-    cached indices; the masses equal those of boolean-mask selections.
-    The entangled states are gathered and histogrammed in chunks of
-    ``_HIST_CHUNK`` = 65536, and the chunks' masses added in order: numpy
-    accumulates a weighted histogram in internal blocks of exactly 65536
-    elements (``BLOCK`` in ``numpy/lib/_histograms_impl.py``), so the
-    masses equal one call on the whole gathered arrays bit for bit, with
-    no n-sized gather held.  ``weights`` must have shape (n,) and ``n_bins``
+    The entangled states' bins are cached on the test set
+    (``TestSet.negativity_bins``), so a call gathers their weights and adds
+    them with ``np.bincount`` in chunks of ``_HIST_CHUNK`` = 65536, in
+    order.  numpy fills a weighted equal-bin histogram the same way, over
+    internal blocks of exactly 65536 elements (``BLOCK`` in
+    ``numpy/lib/_histograms_impl.py``), so masses and edges equal one
+    ``np.histogram`` call on the gathered arrays bit for bit, with no
+    n-sized gather held.  ``weights`` must have shape (n,) and ``n_bins``
     must be an integer >= 1, else ConfigError.
     """
-    n_bins = check_int(n_bins, "bin count", 1)
     weights = _readout_weights(ts, weights)
+    edges, bins = ts.negativity_bins(n_bins)
     ent = ts.entangled_index
     separable_mass = float(weights.take(ts.separable_index).sum())
-    top = float(ts.negativities.max())
-    if top <= 0.0:
-        top = 1.0
-    mass = 0.0
-    # At least one call, so that the edges come from np.histogram even
-    # when no state is entangled.  A bin count
-    # and range, rather than explicit edges, take numpy's uniform-bin path;
-    # the edges and bin assignment are the same.
-    for start in range(0, max(len(ent), 1), _HIST_CHUNK):
-        idx = ent[start:start + _HIST_CHUNK]
-        chunk, edges = np.histogram(ts.negativities.take(idx), bins=n_bins, range=(0.0, top),
-                                    weights=weights.take(idx))
-        mass = mass + chunk
-    return Histogram(bin_edges=edges, bin_mass=mass, separable_mass=separable_mass)
+    mass = np.zeros(n_bins)
+    for start in range(0, len(ent), _HIST_CHUNK):
+        chunk = slice(start, start + _HIST_CHUNK)
+        mass += np.bincount(bins[chunk], weights=weights.take(ent[chunk]), minlength=n_bins)
+    return Histogram(bin_edges=edges.copy(), bin_mass=mass, separable_mass=separable_mass)
 
 
 def mean_state(ts: TestSet, post: Posterior) -> np.ndarray:

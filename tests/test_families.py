@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -405,14 +407,37 @@ class TestLikelihoodKernel:
         assert not np.isnan(s).any()
         assert s.min() >= 0.0 and s.max() <= 1.0
 
-    def test_kernel_clips_same_outcome_probabilities(self):
-        # The XX pair sum of this row is 1.0000000000001; unclipped, log1p
-        # of its negation is NaN (a RuntimeWarning) instead of -inf.
+    def test_oracle_cases_take_both_column_paths(self, case, request):
+        # The kernel merges Bell-weight columns equal in every state: the
+        # grid's w_3 = w_4 is merged, the simplex draws and vertices have
+        # no two columns equal.
+        w = case[0].bell_weights
+        equal = [(j, k) for j in range(4) for k in range(j + 1, 4)
+                 if np.array_equal(w[:, j], w[:, k])]
+        assert equal == ([(2, 3)] if request.node.callspec.params["case"] == "two_param" else [])
+
+    def test_merged_and_unmerged_columns_agree(self, record):
+        # One appended state with w_3 != w_4 turns the merge off for the
+        # whole array; the grid's values move by at most 1e-12 relative.
+        grid = families.grid_prior_two_param(40, 40).bell_weights
+        merged = posterior.bell_log_likelihood(grid, record)
+        unmerged = posterior.bell_log_likelihood(np.vstack([grid, [[0.1, 0.2, 0.3, 0.4]]]),
+                                                 record)[:-1]
+        np.testing.assert_array_equal(np.isneginf(merged), np.isneginf(unmerged))
+        finite = np.isfinite(merged)
+        np.testing.assert_allclose(merged[finite], unmerged[finite], rtol=1e-12, atol=0)
+
+    def test_zero_different_outcome_pair_gives_minus_inf(self):
+        # The XX same-outcome pair sum of this row is 1.0000000000001 and
+        # its different-outcome pair w_2 + w_4 is 0, so the observed XX
+        # different outcomes give log(0) = -inf: no NaN and no warning.
         weights = np.array([[0.6, 0.0, 0.4 + 1e-13, 0.0]])
         assert weights[0, 0] + weights[0, 2] > 1.0
         counts = np.array([[3, 1, 2, 4], [1, 1, 1, 1], [1, 1, 1, 1], [2, 2, 2, 2], [5, 1, 1, 5]])
         rec = measurement.MeasurementRecord(settings=measurement.DEFAULT_SETTINGS, counts=counts)
-        ll = posterior.log_likelihood_vector(families.TestSet(weights), rec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ll = posterior.log_likelihood_vector(families.TestSet(weights), rec)
         oracle = posterior.log_likelihood(rec, families.bell_diagonal_state(weights[0]))
         assert np.isneginf(oracle)
         np.testing.assert_array_equal(ll, [oracle])
@@ -488,3 +513,38 @@ class TestBlockBoundaries:
         weights[families.BLOCK + 7] = [0.5 - bad, 0.5, bad, 0.0]
         with pytest.raises(ConfigError, match="Bell weights"):
             families.TestSet(weights)
+
+
+def clip_log1p_kernel(weights, rec):
+    """The kernel's former formula: s = clip(w @ SAME_OUTCOME_MAP, 0, 1) per
+    XX, YY and ZZ, then log(s) per same and log1p(-s) per different count."""
+    same, diff = posterior.same_different_counts(rec)
+    n_quarter = rec.counts.sum() - same.sum() - diff.sum()
+    ll = np.full(len(weights), n_quarter * np.log(0.25) - (same.sum() + diff.sum()) * np.log(2.0))
+    with np.errstate(divide="ignore"):
+        for j, (n_same, n_diff) in enumerate(zip(same, diff)):
+            s = np.clip(weights @ posterior.SAME_OUTCOME_MAP[:, j], 0.0, 1.0)
+            if n_same > 0:
+                ll += n_same * np.log(s)
+            if n_diff > 0:
+                ll += n_diff * np.log1p(-s)
+    return ll
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+@pytest.mark.parametrize(
+    "build",
+    [lambda: families.grid_prior_two_param(600, 600),
+     lambda: families.simplex_prior_bell_diagonal(100_000, seed=1)],
+    ids=["grid_600x600", "bell_diag_1e5"],
+)
+def test_kernel_matches_former_formula_on_readme_records(build, seed):
+    # The README's records: two-param(0.4, 0.4), 400 shots per setting.
+    # Pair sums w_a + w_b replace 1 - s for the different outcomes; the two
+    # are equal on the simplex, so log L moves by rounding only.
+    rec = measurement.simulate_record(families.two_param_state(0.4, 0.4), 400, seed=seed)
+    weights = build().bell_weights
+    ll, former = posterior.bell_log_likelihood(weights, rec), clip_log1p_kernel(weights, rec)
+    np.testing.assert_array_equal(np.isneginf(ll), np.isneginf(former))
+    finite = np.isfinite(former)
+    np.testing.assert_allclose(ll[finite], former[finite], rtol=1e-12, atol=0)

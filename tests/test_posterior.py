@@ -271,6 +271,8 @@ class TestHistogram:
         assert len(ts.entangled_index) == 0
         assert np.array_equal(hist.bin_mass, np.zeros(10))
         assert np.array_equal(hist.bin_edges, np.linspace(0.0, 1.0, 11))
+        mass, edges = np.histogram(np.empty(0), bins=10, range=(0.0, 1.0), weights=np.empty(0))
+        assert np.array_equal(hist.bin_mass, mass) and np.array_equal(hist.bin_edges, edges)
 
     def test_chunked_masses_equal_one_histogram(self):
         # More than two 65536-state chunks of entangled states, and a count
@@ -291,6 +293,33 @@ class TestHistogram:
         assert np.array_equal(hist.bin_mass, mass)
         assert np.array_equal(hist.bin_edges, edges)
 
+    @pytest.mark.parametrize("n_bins", [1, 50, 300])
+    def test_prior_masses_equal_numpy_histogram(self, prior_set, n_bins):
+        w, neg, ent = np.asarray(prior_set.prior_weights), prior_set.negativities, prior_set.entangled
+        hist = posterior.histogram_negativity(prior_set, w, n_bins)
+        mass, edges = np.histogram(neg[ent], bins=n_bins, range=(0.0, float(neg.max())),
+                                   weights=w[ent])
+        assert np.array_equal(hist.bin_mass, mass)
+        assert np.array_equal(hist.bin_edges, edges)
+
+    def test_bin_cache_keeps_only_the_last_bin_count(self):
+        ts = families.simplex_prior_bell_diagonal(20_000, seed=6)
+        w = np.random.default_rng(6).dirichlet(np.ones(ts.n_states))
+        ent, top = ts.entangled, float(ts.negativities.max())
+        for n_bins in (10, 300, 10):
+            hist = posterior.histogram_negativity(ts, w, n_bins)
+            mass, edges = np.histogram(ts.negativities[ent], bins=n_bins, range=(0.0, top),
+                                       weights=w[ent])
+            assert np.array_equal(hist.bin_mass, mass)
+            assert np.array_equal(hist.bin_edges, edges)
+        # The bins of 10 are cached, one byte per entangled state; a call
+        # with 300 bins replaces them rather than adding a second entry.
+        _, bins = ts.negativity_bins(10)
+        assert ts.negativity_bins(10)[1] is bins
+        assert bins.dtype == np.uint8 and bins.shape == (len(ts.entangled_index),)
+        assert ts.negativity_bins(300)[1].dtype == np.uint16
+        assert ts.negativity_bins(10)[1] is not bins
+
     def test_mass_lands_in_correct_bin(self):
         ts = bell_diag_set([[1.0, 0.0, 0.0, 0.0], [0.75, 0.25, 0.0, 0.0]])
         hist = posterior.histogram_negativity(ts, np.array([0.6, 0.4]), 4)
@@ -299,9 +328,17 @@ class TestHistogram:
         np.testing.assert_allclose(hist.bin_mass, [0.0, 0.0, 0.4, 0.6], atol=1e-12)
 
     def test_edge_ties_match_explicit_edges(self):
+        # At top 0.9 the scaled index of some values on an inner edge rounds
+        # down, and at 0.5 that of some values one ulp below one rounds up, so
+        # numpy's increment and decrement corrections both take part.
+        for top in (0.9, 0.5):
+            self.check_edge_ties(top)
+
+    @staticmethod
+    def check_edge_ties(top):
         # Negativities placed exactly on every edge of 10 bins over (0, top],
         # one ulp to either side of each inner edge, at top, and between edges.
-        n_bins, top = 10, 0.9
+        n_bins = 10
         edges = np.linspace(0.0, top, n_bins + 1)
         inner = edges[1:-1]
         negs = np.concatenate([edges[1:], np.nextafter(inner, 0.0), np.nextafter(inner, 1.0),
@@ -319,6 +356,10 @@ class TestHistogram:
         assert np.array_equal(hist.bin_edges, edges)
         expected, _ = np.histogram(ts.negativities[ent], bins=edges, weights=weights[ent])
         np.testing.assert_allclose(hist.bin_mass, expected, rtol=0, atol=1e-15)
+        # Bit for bit against numpy's own equal-bin path over (0, top].
+        mass, _ = np.histogram(ts.negativities[ent], bins=n_bins, range=(0.0, top),
+                               weights=weights[ent])
+        assert np.array_equal(hist.bin_mass, mass)
         # Same bin for every state: each state alone lands where np.histogram puts it.
         for i in np.flatnonzero(ent):
             one = np.zeros_like(weights)
@@ -478,8 +519,12 @@ class TestAllocationPeak:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         posterior.histogram_negativity(ts, post.weights, 50)
-        peak = tracemalloc.get_traced_memory()[1]
+        held, peak = tracemalloc.get_traced_memory()
+        # It keeps the intp indices, 8 B per state, and the bin cache, 1 B
+        # per entangled state.
+        assert held - before <= 8 * self.N + len(ts.entangled_index) + 4096
         # The indices, then either the separable gather (at most 8 B per
-        # state) or one 65536-state chunk's two gathers and np.histogram's
-        # block temporaries; no n-sized gather of the entangled states.
+        # state), one block of the bin build, or one 65536-state chunk's
+        # weight gather and bincount; no n-sized gather of the entangled
+        # states.
         assert peak - before <= 16 * self.N + self.SCRATCH
