@@ -8,8 +8,9 @@ Subcommands::
     entchar prior-hist   --prior bell-diag --samples 1000000 --seed 1 --bins 100 --out hist.json
 
 All randomness flows from the single --seed value; result documents echo
-their configuration so a run can be replayed bit-exactly.  A flag that the
-chosen --state or --prior does not take is a config error (exit 1).
+their configuration so a run can be replayed bit-exactly.  argparse parses
+the flags and the library judges their values, so an out-of-range value, like
+a flag that the chosen --state or --prior does not take, is a config error (exit 1).
 """
 
 import argparse
@@ -18,8 +19,6 @@ import json
 import re
 import sys
 import time
-
-import numpy as np
 
 from . import __version__, criteria, families, linalg, measurement, posterior
 from .errors import ConfigError, EntcharError
@@ -39,28 +38,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _int_in(low: int, high: float = np.inf):
-    """argparse type: an int in [low, high], so bad values end as usage errors (exit 1)."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if not low <= value <= high:
-            bound = f">= {low}" if high == np.inf else f"in [{low}, {high}]"
-            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
-        return value
-
-    return parse
-
-
-_non_negative_int = _int_in(0)
-_positive_int = _int_in(1)
-# Shots per setting, bounded so that the five settings' total fits in int64.
-_shots = _int_in(0, np.iinfo(np.int64).max // len(measurement.DEFAULT_SETTINGS))
 
 
 def _parse_grid(text: str):
@@ -122,14 +99,16 @@ def _write_result(path, config, started, summary=None, histogram=None, compariso
         fh.write("\n")
 
 
-def _write_histogram(args, config, started, hist: posterior.Histogram, summary=None):
-    """Write a histogram to --out as --format asks: a csv table or a result document."""
+def _write_histogram(args, values, started, hist: posterior.Histogram, summary=None, **extra):
+    """Write a histogram to --out as --format asks: a csv table or a result
+    document, whose config is the command, its ``extra`` keys, the prior and
+    its flag ``values``, the bins and the format."""
     if args.format == "doc":
-        histogram = {
-            "bin_edges": [float(x) for x in hist.bin_edges],
-            "bin_mass": [float(x) for x in hist.bin_mass],
-            "separable_mass": hist.separable_mass,
-        }
+        config = {"command": args.command, **extra, "prior": args.prior, **values,
+                  "bins": args.bins, "format": args.format}
+        histogram = {"bin_edges": [float(x) for x in hist.bin_edges],
+                     "bin_mass": [float(x) for x in hist.bin_mass],
+                     "separable_mass": hist.separable_mass}
         _write_result(args.out, config, started, summary=summary, histogram=histogram)
         return
     lines = [f"# separable_mass={float(hist.separable_mass)!r}", "bin_low,bin_high,mass"]
@@ -158,22 +137,9 @@ def cmd_characterize(args) -> int:
     summary = posterior.summarize(ts, post)
     hist = posterior.histogram_negativity(ts, post.weights, args.bins)
     rho_bar = posterior.mean_state(ts, post)
-    config = {
-        "command": "characterize",
-        "record": str(args.record),
-        "prior": args.prior,
-        **values,
-        "bins": args.bins,
-        "format": args.format,
-    }
-    summary_doc = {
-        **dataclasses.asdict(summary),
-        "mean_state": {
-            "negativity": linalg.negativity(rho_bar),
-            "purity": linalg.purity(rho_bar),
-        },
-    }
-    _write_histogram(args, config, started, hist, summary=summary_doc)
+    mean = {"negativity": linalg.negativity(rho_bar), "purity": linalg.purity(rho_bar)}
+    summary_doc = {**dataclasses.asdict(summary), "mean_state": mean}
+    _write_histogram(args, values, started, hist, summary=summary_doc, record=str(args.record))
     print(
         f"prob_entangled = {summary.prob_entangled:.4f}  "
         f"N = {summary.neg_mean:.4f} +/- {summary.neg_std:.4f}  "
@@ -199,14 +165,7 @@ def cmd_prior_hist(args) -> int:
     started = time.monotonic()
     ts, values = _choose(_PRIORS, "prior", args)
     hist = posterior.histogram_negativity(ts, ts.prior_weights, args.bins)
-    config = {
-        "command": "prior-hist",
-        "prior": args.prior,
-        **values,
-        "bins": args.bins,
-        "format": args.format,
-    }
-    _write_histogram(args, config, started, hist)
+    _write_histogram(args, values, started, hist)
     print(f"separable_mass = {hist.separable_mass:.4f} over {ts.n_states} states")
     return 0
 
@@ -220,17 +179,17 @@ def build_parser() -> _Parser:
     sim.add_argument("--state", required=True, choices=list(_STATES))
     for flag in dict.fromkeys(f for flags, _ in _STATES.values() for f in flags):
         sim.add_argument(f"--{flag}", type=float)
-    sim.add_argument("--shots", type=_shots, required=True, help="shots per setting")
-    sim.add_argument("--seed", type=_non_negative_int, required=True)
+    sim.add_argument("--shots", type=int, required=True, help="shots per setting")
+    sim.add_argument("--seed", type=int, required=True)
     sim.add_argument("--out", required=True)
     sim.set_defaults(func=cmd_simulate)
 
     def add_prior_args(p, default_bins):
         p.add_argument("--prior", required=True, choices=list(_PRIORS))
         p.add_argument("--grid", help="NxM grid for the two-param prior")
-        p.add_argument("--samples", type=_positive_int, help="sample count for the bell-diag prior")
-        p.add_argument("--seed", type=_non_negative_int, help="seed for the bell-diag prior")
-        p.add_argument("--bins", type=_positive_int, default=default_bins)
+        p.add_argument("--samples", type=int, help="sample count for the bell-diag prior")
+        p.add_argument("--seed", type=int, help="seed for the bell-diag prior")
+        p.add_argument("--bins", type=int, default=default_bins)
         p.add_argument("--out", required=True)
         p.add_argument("--format", choices=["doc", "csv"], default="doc")
 

@@ -31,9 +31,11 @@ class DataError(EntcharError):
 
 def check_int(value, what: str, low: int, high: int | None = None) -> int:
     """``value`` as an int; ConfigError unless it is a Python or numpy integer,
-    not a bool, in [low, high] (high None: no upper bound)."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < low or (high is not None and value > high)):
-        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise ConfigError(f"{what} must be an integer {bound}, got {value!r}")
+    not a bool, in [low, high] (high None: no upper bound).  The rule for the
+    CLI's integer flags too; the message names the bound that failed."""
+    integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if integer and high is not None and value > high:
+        raise ConfigError(f"{what} must be an integer <= {high}, got {value!r}")
+    if not integer or value < low:
+        raise ConfigError(f"{what} must be an integer >= {low}, got {value!r}")
     return int(value)

@@ -54,6 +54,10 @@ _SQRT2 = np.sqrt(2.0)
 #: 128 KiB, so the few a pass touches stay in a 2 MiB L2 cache.
 BLOCK = 16384
 
+#: The largest state, sample or bin count a builder takes: n whose (4, n)
+#: float64 buffer numpy can address.  A larger count is a ConfigError.
+MAX_COUNT = np.iinfo(np.intp).max // 32
+
 
 def blocks(n: int):
     """Slices covering range(n) in order, BLOCK states each; the last may be shorter."""
@@ -277,7 +281,7 @@ class TestSet:
         """Edges of ``n_bins`` equal bins over [0, top] and, per entangled
         state, its bin, as ``np.histogram`` assigns it; top is the largest
         negativity, or 1 if none is positive.  Cached for the last ``n_bins``."""
-        n_bins, cache = check_int(n_bins, "bin count", 1), self._bins
+        n_bins, cache = check_int(n_bins, "bin count", 1, MAX_COUNT), self._bins
         if not cache or cache[0] != n_bins:
             top = float(self.negativities.max()) or 1.0
             edges = np.histogram_bin_edges(self.negativities, n_bins, range=(0.0, top))
@@ -303,6 +307,7 @@ def grid_prior_two_param(n_p: int, n_sigma: int) -> TestSet:
     ``np.linspace(0, 1, n_p)`` and ``np.linspace(0, pi, n_sigma)``.
     """
     n_p, n_sigma = check_int(n_p, "grid size n_p", 2), check_int(n_sigma, "grid size n_sigma", 2)
+    check_int(n_p * n_sigma, "grid state count n_p*n_sigma", 4, MAX_COUNT)
     p_axis = np.linspace(0.0, 1.0, n_p)
     c_axis = np.array([coherence_factor(s) for s in np.linspace(0.0, np.pi, n_sigma)])
     p = np.repeat(p_axis, n_sigma)
@@ -320,7 +325,7 @@ def simplex_prior_bell_diagonal(n: int, seed: int) -> TestSet:
     are written into a (4, n) buffer whose transpose is the Bell weights;
     the values equal a row-wise ``np.sort`` and ``np.diff``.
     """
-    n = check_int(n, "sample count", 1)
+    n = check_int(n, "sample count", 1, MAX_COUNT)
     rng = np.random.default_rng(check_int(seed, "seed", 0))
     w = np.empty((4, n))
     for sl in blocks(n):

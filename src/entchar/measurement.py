@@ -156,9 +156,13 @@ def chsh_violated(rho: np.ndarray) -> bool:
 
 
 def record_to_dict(rec: MeasurementRecord) -> dict:
+    """The JSON document of a record, under the file's integer rule
+    (``_integer``): DataError for a count that is not integral, such as an
+    expected count of 12.5, instead of a silent truncation."""
     return {
         "settings": [
-            {"a": int(a), "b": int(b), "counts": [int(c) for c in row]}
+            {"a": _integer(a, "setting axis"), "b": _integer(b, "setting axis"),
+             "counts": [_integer(c, "outcome count") for c in row.tolist()]}
             for (a, b), row in zip(rec.settings, rec.counts)
         ],
         "meta": dict(rec.meta),
@@ -166,9 +170,9 @@ def record_to_dict(rec: MeasurementRecord) -> dict:
 
 
 def _integer(value, what: str) -> int:
-    """A JSON integer within int64 as an int; integral floats such as 5.0
-    are accepted."""
-    if isinstance(value, float) and value.is_integer():
+    """A JSON integer within int64 as an int; numpy integers and integral
+    floats such as 5.0 are accepted."""
+    if isinstance(value, np.integer) or (isinstance(value, float) and value.is_integer()):
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise DataError(f"{what} {value!r} is not an integer")
@@ -196,8 +200,11 @@ def record_from_dict(doc: dict) -> MeasurementRecord:
 
 
 def save_record(rec: MeasurementRecord, path) -> None:
+    """Write the record as JSON; DataError, and no file, if it breaks the
+    file's integer rule."""
+    doc = record_to_dict(rec)
     with open(path, "w") as fh:
-        json.dump(record_to_dict(rec), fh, indent=2)
+        json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 

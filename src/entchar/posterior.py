@@ -222,7 +222,7 @@ def histogram_negativity(ts: TestSet, weights: np.ndarray, n_bins: int) -> Histo
     ``numpy/lib/_histograms_impl.py``), so masses and edges equal one
     ``np.histogram`` call on the gathered arrays bit for bit, with no
     n-sized gather held.  ``weights`` must have shape (n,) and ``n_bins``
-    must be an integer >= 1, else ConfigError.
+    must be an integer in [1, ``families.MAX_COUNT``], else ConfigError.
     """
     weights = _readout_weights(ts, weights)
     edges, bins = ts.negativity_bins(n_bins)

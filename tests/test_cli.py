@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from entchar import cli, families
@@ -107,14 +108,20 @@ class TestSimulate:
                     "--out", str(out)]) == 0
         assert json.loads(out.read_text())["meta"]["label"] == label
 
-    @pytest.mark.parametrize("flag,value", [("--shots", "-5"), ("--seed", "-1")])
-    def test_negative_shots_or_seed(self, tmp_path, capsys, flag, value):
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--shots", "-5", "shots per setting must be an integer >= 0, got -5"),
+        ("--seed", "-1", "seed must be an integer >= 0, got -1"),
+    ], ids=["--shots--5", "--seed--1"])
+    def test_negative_shots_or_seed(self, tmp_path, capsys, flag, value, message):
+        # argparse parses the integer; the library's check_int judges its range.
         argv = {"--shots": "10", "--seed": "0", flag: value}
-        code = run(["simulate", "--state", "rho1", "--out", str(tmp_path / "x.json"),
+        out = tmp_path / "x.json"
+        code = run(["simulate", "--state", "rho1", "--out", str(out),
                     *[x for kv in argv.items() for x in kv]])
         assert code == 1
         err = capsys.readouterr().err
-        assert f"argument {flag}" in err and "Traceback" not in err
+        assert err == f"entchar: config error: {message}\n" and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf"])
     def test_non_finite_sigma_is_config_error(self, tmp_path, capsys, sigma):
@@ -241,7 +248,9 @@ class TestCharacterize:
         code = run(["characterize", "--record", str(record_path), "--prior", "two-param",
                     "--grid", "10x10", "--bins", "0", "--out", str(out)])
         assert code == 1
-        assert "argument --bins" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "entchar: config error: bin count must be an integer >= 1, got 0\n"
+        assert "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("count", [3.7, 10**30], ids=["fractional", "past_int64"])
@@ -377,12 +386,24 @@ class TestPriorHist:
         assert 0.4 < hist["separable_mass"] < 0.6
 
 
-    @pytest.mark.parametrize("value", ["0", "-3", "1.5", "many"])
+    @pytest.mark.parametrize("value", ["1.5", "many"])
     def test_bad_samples_is_usage_error(self, tmp_path, capsys, value):
-        code = run(["prior-hist", "--prior", "bell-diag", "--samples", value,
-                    "--out", str(tmp_path / "x.json")])
+        out = tmp_path / "x.json"
+        code = run(["prior-hist", "--prior", "bell-diag", "--samples", value, "--out", str(out)])
         assert code == 1
-        assert "argument --samples" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "argument --samples: invalid int value" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_samples_below_one_is_config_error(self, tmp_path, capsys, value):
+        out = tmp_path / "x.json"
+        code = run(["prior-hist", "--prior", "bell-diag", "--samples", value, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"entchar: config error: sample count must be an integer >= 1, got {value}\n"
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_out_of_memory_is_config_error(self, tmp_path, capsys, monkeypatch):
         # The builder is replaced, so no huge array is ever requested.
@@ -398,6 +419,55 @@ class TestPriorHist:
         assert err.startswith("entchar: config error: Unable to allocate 21.8 TiB")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
+
+
+#: Every integer flag of every subcommand: the quantity the library names in
+#: its message, and the flag's bounds (None: no upper bound).
+_INTEGER_FLAGS = {
+    "simulate": {"--shots": ("shots per setting", 0, np.iinfo(np.int64).max // 5),
+                 "--seed": ("seed", 0, None)},
+    **{command: {"--samples": ("sample count", 1, families.MAX_COUNT),
+                 "--seed": ("seed", 0, None),
+                 "--bins": ("bin count", 1, families.MAX_COUNT)}
+       for command in ("characterize", "prior-hist")},
+}
+
+
+class TestIntegerFlags:
+    """argparse parses each integer flag; the library's check_int judges it."""
+
+    BASE = {"simulate": ["--state", "rho1", "--shots", "5", "--seed", "0"],
+            "characterize": ["--record", "{rec}", "--prior", "bell-diag", "--samples", "50",
+                             "--seed", "0", "--bins", "5"],
+            "prior-hist": ["--prior", "bell-diag", "--samples", "50", "--seed", "0",
+                           "--bins", "5"]}
+
+    def argv(self, command, flag, value, rec, out):
+        argv = [arg.format(rec=rec) for arg in self.BASE[command]]
+        argv[argv.index(flag) + 1] = str(value)
+        return [command, *argv, "--out", str(out)]
+
+    # Below each low bound, and at 10**20 wherever there is an upper bound.
+    @pytest.mark.parametrize("command,flag,side", [
+        (command, flag, side) for command, flags in _INTEGER_FLAGS.items()
+        for flag, (_, _, high) in flags.items()
+        for side in (["below_low"] if high is None else ["below_low", "at_1e20"])
+    ])
+    def test_out_of_range_is_config_error(self, tmp_path, capsys, record_path, command, flag,
+                                          side):
+        what, low, high = _INTEGER_FLAGS[command][flag]
+        value, bound = (low - 1, f">= {low}") if side == "below_low" else (10**20, f"<= {high}")
+        out = tmp_path / "x.json"
+        assert run(self.argv(command, flag, value, record_path, out)) == 1
+        err = capsys.readouterr().err
+        assert err == f"entchar: config error: {what} must be an integer {bound}, got {value}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "prior-hist"])
+    def test_seed_has_no_upper_bound(self, tmp_path, record_path, command):
+        out = tmp_path / "x.json"
+        assert run(self.argv(command, "--seed", 10**20, record_path, out)) == 0
+        assert out.exists()
 
 
 class TestTopLevel:

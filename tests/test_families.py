@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -280,6 +281,23 @@ class TestSimplexPrior:
         assert np.array_equal(ts.bell_weights, weights)
         assert np.array_equal(ts.negativities, negativities)
         assert np.array_equal(ts.purities, purities)
+
+
+#: Each count a builder sizes an array by, as a call with that count.
+_SIZED_BUILDS = {
+    "sample count": lambda n: families.simplex_prior_bell_diagonal(n, 0),
+    "grid state count n_p*n_sigma": lambda n: families.grid_prior_two_param(n // 2, 2),
+    "bin count": lambda n: families.simplex_prior_bell_diagonal(10, 0).negativity_bins(n),
+}
+
+
+@pytest.mark.parametrize("n", [families.MAX_COUNT + 1, 10**20], ids=["max_plus_1", "1e20"])
+@pytest.mark.parametrize("what", list(_SIZED_BUILDS))
+def test_count_past_what_numpy_can_address_is_config_error(what, n):
+    # MAX_COUNT + 1 = 2**58 is even, so the grid's state count is exactly n.
+    with pytest.raises(ConfigError, match=rf"^{re.escape(what)} must be an integer "
+                                          rf"<= {families.MAX_COUNT}, got {n}$"):
+        _SIZED_BUILDS[what](n)
 
 
 def test_test_set_from_bell_weights_alone():

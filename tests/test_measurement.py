@@ -282,6 +282,29 @@ class TestRecordSerialization:
         assert np.array_equal(loaded.counts, rec.counts)
         assert loaded.meta == rec.meta
 
+    def test_non_integral_count_is_refused_and_writes_nothing(self, tmp_path):
+        rec = measurement.MeasurementRecord(settings=measurement.DEFAULT_SETTINGS,
+                                            counts=np.full((5, 4), 12.5))
+        path = tmp_path / "rec.json"
+        with pytest.raises(DataError, match="outcome count 12.5 is not an integer"):
+            measurement.save_record(rec, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("counts", [
+        np.arange(20, dtype=np.int64).reshape(5, 4),
+        np.arange(20, dtype=float).reshape(5, 4),
+    ], ids=["int64", "integral_floats"])
+    def test_integer_counts_round_trip(self, tmp_path, counts):
+        rec = measurement.MeasurementRecord(settings=measurement.DEFAULT_SETTINGS,
+                                            counts=counts, meta={"label": "x"})
+        path = tmp_path / "rec.json"
+        measurement.save_record(rec, path)
+        loaded = measurement.load_record(path)
+        assert loaded.settings == rec.settings
+        assert loaded.counts.dtype == np.int64
+        assert np.array_equal(loaded.counts, counts)
+        assert loaded.meta == rec.meta
+
     def test_parse_failures(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{")
