@@ -39,3 +39,10 @@ def check_int(value, what: str, low: int, high: int | None = None) -> int:
     if not integer or value < low:
         raise ConfigError(f"{what} must be an integer >= {low}, got {value!r}")
     return int(value)
+
+
+def check_real(value, what: str) -> float:
+    """``value`` as a float; ConfigError unless it is a Python or numpy real, not a bool."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"{what} must be a real number, got {value!r}")

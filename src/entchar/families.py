@@ -22,22 +22,24 @@ short row axis, or gathers strided columns, several times slower than it
 streams a contiguous vector.  Every function still accepts any (n, 4)
 layout.
 
-Block rule: four per-state passes run in blocks of ``BLOCK`` states
+Block rule: five per-state passes run in blocks of ``BLOCK`` states
 (``blocks``), because their whole-array forms would hold n-sized
 temporaries beside their results.  Measured alone at 10^6 states on a
 2-vCPU Xeon (peak traced memory, blocked against whole-array): the
 simplex builder's draws and sort, 34 against 96 MB and about three times
 faster; the Bell-weight check and scalars in ``TestSet``, 16 against
-32 MB and about twice as fast; the histogram bins of
-``TestSet.negativity_bins``, 1 against 16 MB and 2.5 times faster; the
-posterior module's log-likelihood kernel, 8 against 24 MB and about
-twice as fast.  Each element goes through the same operations in the
-same order, so the values equal the one-shot formulas bit for bit.
-Every other pass is whole-array: the posterior update works in place on
-the kernel's output with one boolean mask, and the entangled/separable
-indices come from one boolean mask.  Reductions stay whole-array (the
-maximum, every sum and the posterior moments): numpy sums pairwise, so
-a sum of block sums would round differently from one whole-array sum.
+32 MB and about twice as fast; the histogram labels of
+``TestSet.negativity_bins`` over all states, 1.4 against 24 MB and 1.8
+times faster; the posterior module's log-likelihood kernel, 8 against
+24 MB and about twice as fast; its histogram's ``np.bincount``, which
+casts the 1-byte labels to intp, 0.1 against 8 MB at the same speed.
+Each element goes through the same operations in the same order, so the
+values equal the one-shot formulas bit for bit.  Every other pass is
+whole-array: the posterior update works in place on the kernel's output
+with one boolean mask, and the entangled mask is one comparison.
+Reductions stay whole-array (the maximum, the entangled probability and
+the posterior moments), except the histogram's masses, which add block
+sums in order and so differ from a whole-array sum only in rounding.
 """
 
 from dataclasses import dataclass, field
@@ -45,7 +47,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, check_int
+from .errors import ConfigError, check_int, check_real
 from .linalg import NEGATIVITY_FLOOR
 
 _SQRT2 = np.sqrt(2.0)
@@ -101,7 +103,7 @@ def coherence_factor(sigma: float) -> float:
     """
     from scipy.special import erf, wofz
 
-    sigma = float(sigma)
+    sigma = check_real(sigma, "sigma")
     if not np.isfinite(sigma):
         raise ConfigError(f"sigma must be finite, got {sigma}")
     if sigma < 0:
@@ -115,7 +117,7 @@ def coherence_factor(sigma: float) -> float:
 
 def two_param_state(p: float, sigma: float) -> np.ndarray:
     """rho_{p,sigma}: phase-noisy Bell state mixed with white noise."""
-    if not 0.0 <= p <= 1.0:
+    if not 0.0 <= check_real(p, "p") <= 1.0:
         raise ConfigError(f"p must be in [0, 1], got {p}")
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = rho[3, 3] = (1.0 + p) / 4.0
@@ -175,6 +177,7 @@ def rho_k_state(k: float) -> np.ndarray:
 
     Purity is 0.4375 for every k in (0, 1].
     """
+    k = check_real(k, "k")
     if not 0.0 < k <= 1.0:
         raise ConfigError(f"k must be in (0, 1], got {k}")
     v = np.array([1.0, 0.0, 0.0, k], dtype=complex) / np.sqrt(1.0 + k * k)
@@ -218,16 +221,13 @@ class TestSet:
     or infinite entry is refused.  A sequential update starts from the
     last posterior: ``TestSet(ts.bell_weights, post.weights)``.
 
-    ``entangled_index`` lists the states with negativity above
-    ``linalg.NEGATIVITY_FLOOR`` (``entangled``); ``separable_index`` lists
-    the rest.  Both are ascending intp arrays (``np.flatnonzero`` of one
-    boolean mask, then of it inverted in place), built together on first
-    use and cached; ``take`` gathers through them several times faster
-    than a boolean mask, and an intp index needs no conversion.  Beside
-    them, ``negativity_bins`` caches each entangled state's histogram bin
-    for the last bin count, in the smallest unsigned dtype (1 B per state
-    up to 256 bins).  ``negativities`` must not be replaced once a cache
-    is built.
+    ``entangled`` is the read-only mask of the states with negativity
+    above ``linalg.NEGATIVITY_FLOOR``, 1 B per state, built on first use
+    and cached.  Beside it, ``negativity_bins`` caches one histogram label
+    per state for the last bin count (0 where the state is not entangled,
+    else 1 + its bin), in the smallest unsigned dtype that holds the bin
+    count (1 B per state up to 255 bins).  ``negativities`` must not be
+    replaced once a cache is built.
     """
 
     bell_weights: np.ndarray
@@ -258,44 +258,33 @@ class TestSet:
     def n_states(self) -> int:
         return len(self.bell_weights)
 
-    @property
-    def entangled(self) -> np.ndarray:
-        return self.negativities > NEGATIVITY_FLOOR
-
     @cached_property
-    def _indices(self) -> tuple[np.ndarray, np.ndarray]:
-        mask = self.entangled
-        entangled = np.flatnonzero(mask)
-        # Inverted in place, so that the build holds one 1 B/state mask.
-        return entangled, np.flatnonzero(np.logical_not(mask, out=mask))
-
-    @property
-    def entangled_index(self) -> np.ndarray:
-        return self._indices[0]
-
-    @property
-    def separable_index(self) -> np.ndarray:
-        return self._indices[1]
+    def entangled(self) -> np.ndarray:
+        mask = self.negativities > NEGATIVITY_FLOOR
+        mask.flags.writeable = False
+        return mask
 
     def negativity_bins(self, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
-        """Edges of ``n_bins`` equal bins over [0, top] and, per entangled
-        state, its bin, as ``np.histogram`` assigns it; top is the largest
-        negativity, or 1 if none is positive.  Cached for the last ``n_bins``."""
+        """Edges of ``n_bins`` equal bins over [0, top] and one label per state:
+        0 where the state is not ``entangled``, else 1 + its bin as
+        ``np.histogram`` assigns it; top is the largest negativity, or 1 if
+        none is positive.  Cached for the last ``n_bins``."""
         n_bins, cache = check_int(n_bins, "bin count", 1, MAX_COUNT), self._bins
         if not cache or cache[0] != n_bins:
             top = float(self.negativities.max()) or 1.0
             edges = np.histogram_bin_edges(self.negativities, n_bins, range=(0.0, top))
-            ent = self.entangled_index
-            index = np.empty(len(ent), np.min_scalar_type(n_bins - 1))
-            for sl in blocks(len(ent)):
-                neg = self.negativities.take(ent[sl])
+            labels = np.empty(self.n_states, np.min_scalar_type(n_bins))
+            for sl in blocks(self.n_states):
+                neg = self.negativities[sl]
                 # numpy's uniform-bin path: scale, then correct by one bin where
                 # rounding crossed an edge; the last bin is closed.
                 i = np.minimum((neg / top * n_bins).astype(np.intp), n_bins - 1)
                 i[neg < edges[i]] -= 1
                 i[(neg >= edges[i + 1]) & (i != n_bins - 1)] += 1
-                index[sl] = i
-            cache = self._bins = n_bins, edges, index
+                i += 1
+                i *= self.entangled[sl]
+                labels[sl] = i
+            cache = self._bins = n_bins, edges, labels
         return cache[1:]
 
 

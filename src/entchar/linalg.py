@@ -38,9 +38,13 @@ def validate_state(m: np.ndarray) -> np.ndarray:
 
     Returns the matrix (as a complex ndarray) when it is Hermitian, has
     unit trace and is positive semidefinite; raises ConfigError otherwise.
-    A NaN or infinite entry makes the hermiticity defect NaN, which fails.
+    A NaN or infinite entry makes the hermiticity defect NaN, which fails,
+    and so does anything numpy cannot read as a complex array.
     """
-    m = np.asarray(m, dtype=complex)
+    try:
+        m = np.asarray(m, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"a density matrix must be a numeric 4x4 array: {exc}") from None
     if m.shape != (4, 4):
         raise ConfigError(f"expected a 4x4 matrix, got shape {m.shape}")
     defect = float(np.max(np.abs(m - m.conj().T)))

@@ -28,10 +28,11 @@ _INT64_MAX = np.iinfo(np.int64).max
 class MeasurementRecord:
     """Per-setting outcome counts for a set of correlation measurements.
 
-    Every record, however it is built, holds one or more settings and one
-    row of 4 counts per setting (ordered per OUTCOME_SIGNS), each finite
-    and >= 0, else DataError; expected counts may be fractional.  Integer
-    counts must total at most int64 max, so that no sum over them wraps.
+    Every record, however it is built, holds one or more settings, each a
+    pair of int spin axes in 1..3, and one row of 4 counts per setting
+    (ordered per OUTCOME_SIGNS), each finite and >= 0, else DataError;
+    expected counts may be fractional.  Integer counts must total at most
+    int64 max, so that no sum over them wraps.
     """
 
     settings: tuple
@@ -39,6 +40,11 @@ class MeasurementRecord:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        try:
+            self.settings = tuple((check_int(a, "setting axis", 1, 3),
+                                   check_int(b, "setting axis", 1, 3)) for a, b in self.settings)
+        except (TypeError, ValueError, ConfigError) as exc:
+            raise DataError(f"every setting must be a pair of axes in 1..3: {exc}") from None
         try:
             counts = self.counts = np.asarray(self.counts)
         except ValueError:  # rows of different lengths
@@ -88,29 +94,24 @@ def outcome_probabilities(rho: np.ndarray, setting) -> np.ndarray:
     return np.clip(probs, 0.0, 1.0)
 
 
-def simulate_record(
-    rho: np.ndarray,
-    shots_per_setting: int,
-    seed: int,
-    label: str = "",
-    settings=DEFAULT_SETTINGS,
-) -> MeasurementRecord:
-    """Draw a finite measurement record with equal shots per setting.
+def simulate_record(rho: np.ndarray, shots_per_setting: int, seed: int,
+                    label: str = "") -> MeasurementRecord:
+    """Draw a finite record on the default settings, equal shots per setting.
 
     Each setting uses its own RNG substream derived from (seed, setting
     index), so records are reproducible regardless of evaluation order.
     The seed must be an integer >= 0 and the shots one in [0, int64 max //
-    len(settings)], so that the total fits in int64; else ConfigError.
+    5], so that the total fits in int64; else ConfigError.
     """
     seed = check_int(seed, "seed", 0)
     shots = check_int(shots_per_setting, "shots per setting", 0,
-                      _INT64_MAX // max(len(settings), 1))
-    counts = np.empty((len(settings), 4), dtype=np.int64)
-    for s, setting in enumerate(settings):
+                      _INT64_MAX // len(DEFAULT_SETTINGS))
+    counts = np.empty((len(DEFAULT_SETTINGS), 4), dtype=np.int64)
+    for s, setting in enumerate(DEFAULT_SETTINGS):
         rng = np.random.default_rng([seed, s])
         counts[s] = rng.multinomial(shots, outcome_probabilities(rho, setting))
     meta = {"seed": seed, "label": label, "shots_per_setting": shots}
-    return MeasurementRecord(settings=tuple(settings), counts=counts, meta=meta)
+    return MeasurementRecord(settings=DEFAULT_SETTINGS, counts=counts, meta=meta)
 
 
 def frequencies(rec: MeasurementRecord) -> FrequencyTable:
@@ -161,8 +162,7 @@ def record_to_dict(rec: MeasurementRecord) -> dict:
     expected count of 12.5, instead of a silent truncation."""
     return {
         "settings": [
-            {"a": _integer(a, "setting axis"), "b": _integer(b, "setting axis"),
-             "counts": [_integer(c, "outcome count") for c in row.tolist()]}
+            {"a": a, "b": b, "counts": [_integer(c, "outcome count") for c in row.tolist()]}
             for (a, b), row in zip(rec.settings, rec.counts)
         ],
         "meta": dict(rec.meta),
@@ -183,13 +183,11 @@ def _integer(value, what: str) -> int:
 
 def record_from_dict(doc: dict) -> MeasurementRecord:
     """The record a JSON document describes.  Checked here is what only a file
-    can get wrong: axes and counts that are int64 integers, so the counts load
-    as an int64 array, and an object ``meta``; MeasurementRecord checks the rest."""
+    can get wrong: counts that are int64 integers, so that they load as an
+    int64 array, and an object ``meta``; MeasurementRecord checks the rest,
+    the axes too."""
     try:
-        settings = tuple(
-            (_integer(s["a"], "setting axis"), _integer(s["b"], "setting axis"))
-            for s in doc["settings"]
-        )
+        settings = tuple((s["a"], s["b"]) for s in doc["settings"])
         rows = [[_integer(c, "outcome count") for c in s["counts"]] for s in doc["settings"]]
         meta = doc.get("meta", {})
     except (KeyError, TypeError) as exc:

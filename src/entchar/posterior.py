@@ -35,8 +35,6 @@ _LOG_2 = np.log(2.0)
 _LOG_QUARTER = np.log(0.25)
 #: Below this argument np.exp returns a subnormal number (or 0).
 _LOG_TINY = np.log(np.finfo(float).tiny)
-#: Entangled states per histogram chunk: numpy's own histogram block.
-_HIST_CHUNK = 65536
 
 #: Same-outcome probability of the XX, YY and ZZ settings (columns) under
 #: each Bell projector |Phi_1>..|Phi_4| (rows); linear in the Bell weights.
@@ -191,10 +189,10 @@ def _readout_weights(ts: TestSet, weights) -> np.ndarray:
 def summarize(ts: TestSet, post: Posterior) -> EstimateSummary:
     """Posterior entanglement probability and negativity/purity moments.
 
-    ``prob_entangled`` sums the weights gathered through the test set's
-    cached entangled index; every field is a Python float.  The moments
-    are einsum sums of products, which need no squared temporaries and,
-    unlike BLAS dot products, do not depend on the BLAS thread count.
+    ``prob_entangled`` is the weight on the test set's cached ``entangled``
+    mask; every field is a Python float.  Each field is an einsum sum of
+    products, which needs no n-sized temporary and, unlike a BLAS dot
+    product, does not depend on the BLAS thread count.
     """
     w = _readout_weights(ts, post.weights)
     neg, pur = ts.negativities, ts.purities
@@ -203,7 +201,7 @@ def summarize(ts: TestSet, post: Posterior) -> EstimateSummary:
     pur_mean = float(np.einsum("i,i->", w, pur))
     pur_var = max(0.0, float(np.einsum("i,i,i->", w, pur, pur)) - pur_mean**2)
     return EstimateSummary(
-        prob_entangled=float(w.take(ts.entangled_index).sum()),
+        prob_entangled=float(np.einsum("i,i->", w, ts.entangled)),
         neg_mean=neg_mean,
         neg_std=math.sqrt(neg_var),
         pur_mean=pur_mean,
@@ -214,25 +212,19 @@ def summarize(ts: TestSet, post: Posterior) -> EstimateSummary:
 def histogram_negativity(ts: TestSet, weights: np.ndarray, n_bins: int) -> Histogram:
     """Histogram of negativity under the given weights (prior or posterior).
 
-    The entangled states' bins are cached on the test set
-    (``TestSet.negativity_bins``), so a call gathers their weights and adds
-    them with ``np.bincount`` in chunks of ``_HIST_CHUNK`` = 65536, in
-    order.  numpy fills a weighted equal-bin histogram the same way, over
-    internal blocks of exactly 65536 elements (``BLOCK`` in
-    ``numpy/lib/_histograms_impl.py``), so masses and edges equal one
-    ``np.histogram`` call on the gathered arrays bit for bit, with no
-    n-sized gather held.  ``weights`` must have shape (n,) and ``n_bins``
+    Each state's label is cached on the test set (``TestSet.negativity_bins``:
+    0 for a state that is not entangled, else 1 + its bin), so a call adds
+    the weights per label with ``np.bincount``, block by block so that no
+    n-sized intp copy of the labels is held; label 0's mass is
+    ``separable_mass``.  ``weights`` must have shape (n,) and ``n_bins``
     must be an integer in [1, ``families.MAX_COUNT``], else ConfigError.
     """
     weights = _readout_weights(ts, weights)
-    edges, bins = ts.negativity_bins(n_bins)
-    ent = ts.entangled_index
-    separable_mass = float(weights.take(ts.separable_index).sum())
-    mass = np.zeros(n_bins)
-    for start in range(0, len(ent), _HIST_CHUNK):
-        chunk = slice(start, start + _HIST_CHUNK)
-        mass += np.bincount(bins[chunk], weights=weights.take(ent[chunk]), minlength=n_bins)
-    return Histogram(bin_edges=edges.copy(), bin_mass=mass, separable_mass=separable_mass)
+    edges, labels = ts.negativity_bins(n_bins)
+    mass = np.zeros(len(edges))  # n_bins + 1 slots: label 0, then each bin
+    for sl in families.blocks(ts.n_states):
+        mass += np.bincount(labels[sl], weights[sl], minlength=len(edges))
+    return Histogram(bin_edges=edges.copy(), bin_mass=mass[1:], separable_mass=float(mass[0]))
 
 
 def mean_state(ts: TestSet, post: Posterior) -> np.ndarray:

@@ -84,7 +84,7 @@ class TestCoherenceFactor:
         assert families.coherence_factor(sigma) == 1.0
         assert families.coherence_factor(np.float64(sigma)) == 1.0
 
-    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, "x"])
     def test_non_finite_width_rejected(self, sigma):
         with pytest.raises(ConfigError, match="sigma must be"):
             families.coherence_factor(sigma)
@@ -107,6 +107,8 @@ class TestTwoParamFamily:
     def test_out_of_domain(self):
         with pytest.raises(ConfigError):
             families.two_param_state(1.2, 0.4)
+        with pytest.raises(ConfigError, match="p must be a real number"):
+            families.two_param_state("0.5", 0.1)
 
     def test_analytic_negativity_matches_eigensolver_on_grid(self):
         ts = families.grid_prior_two_param(50, 50)
@@ -164,8 +166,8 @@ class TestRhoK:
         )
 
     def test_domain(self):
-        for k in (0.0, -0.5, 1.5):
-            with pytest.raises(ConfigError):
+        for k in (0.0, -0.5, 1.5, "a"):
+            with pytest.raises(ConfigError, match="^k must be"):
                 families.rho_k_state(k)
 
 

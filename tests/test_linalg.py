@@ -71,9 +71,10 @@ def one_triangle_matrix():
     return m
 
 
-@pytest.mark.parametrize("func", [linalg.negativity, linalg.purity])
-@pytest.mark.parametrize("m", [one_triangle_matrix(), np.diag([0.75, 0.75, -0.25, -0.25])],
-                         ids=["non_hermitian", "not_psd"])
+@pytest.mark.parametrize("func", [linalg.negativity, linalg.purity, linalg.validate_state])
+@pytest.mark.parametrize("m", [one_triangle_matrix(), np.diag([0.75, 0.75, -0.25, -0.25]),
+                               "abc", [[1, 0], [0]]],
+                         ids=["non_hermitian", "not_psd", "text", "ragged"])
 def test_state_functionals_apply_the_state_rule(func, m):
     with pytest.raises(ConfigError):
         func(m)

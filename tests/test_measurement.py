@@ -195,25 +195,36 @@ class TestFrequencies:
 
 class TestRecordRule:
     """Every MeasurementRecord, however it is built, has one or more settings,
-    one row of 4 counts per setting and finite counts >= 0."""
+    each a pair of integer axes in 1..3, one row of 4 counts per setting and
+    finite counts >= 0."""
 
-    @pytest.mark.parametrize("counts", [
-        [[1, 2, 3, -3]] * 5,
-        np.ones((5, 3), dtype=int),
-        np.ones((4, 4), dtype=int),
-        [[1, 2, 3], [1, 2, 3, 4], [1, 2, 3, 4], [1, 2, 3, 4], [1, 2, 3, 4]],
-        [[1.0, 2.0, np.nan, 4.0]] * 5,
-        [[1.0, 2.0, np.inf, 4.0]] * 5,
-        np.ones((5, 4), dtype=bool),
-        [["1", "2", "3", "4"]] * 5,
-        np.full((5, 4), 2**61),
-        np.full((5, 4), 2**63, dtype=np.uint64),
-        np.array([[np.iinfo(np.int64).max, 1, 0, 0]] + [[0, 0, 0, 0]] * 4),
+    @pytest.mark.parametrize("settings, counts", [
+        *[(measurement.DEFAULT_SETTINGS, counts) for counts in [
+            [[1, 2, 3, -3]] * 5,
+            np.ones((5, 3), dtype=int),
+            np.ones((4, 4), dtype=int),
+            [[1, 2, 3], [1, 2, 3, 4], [1, 2, 3, 4], [1, 2, 3, 4], [1, 2, 3, 4]],
+            [[1.0, 2.0, np.nan, 4.0]] * 5,
+            [[1.0, 2.0, np.inf, 4.0]] * 5,
+            np.ones((5, 4), dtype=bool),
+            [["1", "2", "3", "4"]] * 5,
+            np.full((5, 4), 2**61),
+            np.full((5, 4), 2**63, dtype=np.uint64),
+            np.array([[np.iinfo(np.int64).max, 1, 0, 0]] + [[0, 0, 0, 0]] * 4),
+        ]],
+        (((7, 1),), [[1, 1, 1, 1]]),
+        (((0, 1),), [[1, 1, 1, 1]]),
+        (((True, 1),), [[1, 1, 1, 1]]),
+        (((1.0, 1),), [[1, 1, 1, 1]]),
+        (("ab",), [[1, 1, 1, 1]]),
+        (((1, 2, 3),), [[1, 1, 1, 1]]),
+        ((1, 2, 3, 4, 5), np.ones((5, 4), dtype=int)),
     ], ids=["negative", "rows_of_3", "too_few_rows", "ragged", "nan", "inf", "bool", "text",
-            "int64_total_wraps", "uint64_total", "total_one_past_int64"])
-    def test_rejects(self, counts):
+            "int64_total_wraps", "uint64_total", "total_one_past_int64", "axis_7", "axis_0",
+            "bool_axis", "float_axis", "text_setting", "three_axes", "int_settings"])
+    def test_rejects(self, settings, counts):
         with pytest.raises(DataError):
-            measurement.MeasurementRecord(settings=measurement.DEFAULT_SETTINGS, counts=counts)
+            measurement.MeasurementRecord(settings=settings, counts=counts)
 
     def test_rejects_no_settings(self):
         with pytest.raises(DataError):
@@ -223,6 +234,12 @@ class TestRecordRule:
         counts = np.array([[np.iinfo(np.int64).max - 3, 1, 1, 1]] + [[0, 0, 0, 0]] * 4)
         rec = measurement.MeasurementRecord(settings=measurement.DEFAULT_SETTINGS, counts=counts)
         assert rec.n_total == np.iinfo(np.int64).max
+
+    def test_settings_are_stored_as_int_pairs(self):
+        rec = measurement.MeasurementRecord(settings=np.array(measurement.DEFAULT_SETTINGS),
+                                            counts=np.ones((5, 4), dtype=int))
+        assert rec.settings == measurement.DEFAULT_SETTINGS
+        assert all(type(a) is int and type(b) is int for a, b in rec.settings)
 
     def test_accepts_expected_counts(self):
         counts = np.full((5, 4), 2.5)
@@ -323,7 +340,7 @@ class TestRecordSerialization:
         with pytest.raises(DataError):
             measurement.record_from_dict(doc)
 
-    @pytest.mark.parametrize("axis", [2.5, float("inf"), True, "1"])
+    @pytest.mark.parametrize("axis", [2.5, float("inf"), True, "1", 7, 0])
     def test_rejects_non_integer_axes(self, axis):
         doc = {"settings": [{"a": axis, "b": 1, "counts": [1, 2, 3, 4]}]}
         with pytest.raises(DataError):

@@ -183,21 +183,29 @@ def prior_set(request):
 
 
 class TestEntangledIndex:
-    """The index-gathered sums equal the boolean-mask formulas exactly."""
+    """The sums read through the entangled mask and the per-state labels equal
+    the boolean-mask formulas, up to their order of addition."""
 
     def test_indices_partition_the_states(self, prior_set):
-        ent, sep = prior_set.entangled_index, prior_set.separable_index
-        assert np.array_equal(ent, np.flatnonzero(prior_set.entangled))
-        assert np.array_equal(np.sort(np.concatenate([ent, sep])),
-                              np.arange(prior_set.n_states))
-        assert prior_set.entangled_index is ent  # cached, not recomputed
+        # Label 0 marks exactly the states off the entangled mask, so the
+        # mask and the labels split the states the same way.
+        mask = prior_set.entangled
+        assert np.array_equal(mask, prior_set.negativities > linalg.NEGATIVITY_FLOOR)
+        _, labels = prior_set.negativity_bins(50)
+        assert np.array_equal(labels == 0, ~mask)
 
     def test_indices_are_ascending_intp(self, prior_set):
-        # intp, so that ``take`` gathers through them without converting
-        # them first; each ascending, as ``np.flatnonzero`` lists them.
-        ent, sep = prior_set.entangled_index, prior_set.separable_index
-        assert ent.dtype == np.intp and sep.dtype == np.intp
+        # An index of the entangled states, ascending intp as
+        # ``np.flatnonzero`` lists it, is the same read from the labels or
+        # from the mask; the mask is cached and read-only, so no caller
+        # can move it between readouts.
         mask = prior_set.entangled
+        assert prior_set.entangled is mask  # cached, not recomputed
+        with pytest.raises(ValueError):
+            mask[0] = not mask[0]
+        _, labels = prior_set.negativity_bins(50)
+        ent, sep = np.flatnonzero(labels), np.flatnonzero(labels == 0)
+        assert ent.dtype == np.intp and sep.dtype == np.intp
         assert np.array_equal(ent, np.flatnonzero(mask))
         assert np.array_equal(sep, np.flatnonzero(~mask))
 
@@ -212,10 +220,10 @@ class TestEntangledIndex:
         n_bins, top = 50, float(neg.max())
         summary = posterior.summarize(prior_set, post)
         hist = posterior.histogram_negativity(prior_set, w, n_bins)
-        assert summary.prob_entangled == float(w[ent].sum())
-        assert hist.separable_mass == float(w[~ent].sum())
+        assert summary.prob_entangled == pytest.approx(float(w[ent].sum()), rel=0, abs=1e-12)
+        assert hist.separable_mass == pytest.approx(float(w[~ent].sum()), rel=0, abs=1e-12)
         mass, edges = np.histogram(neg[ent], bins=n_bins, range=(0.0, top), weights=w[ent])
-        assert np.array_equal(hist.bin_mass, mass)
+        np.testing.assert_allclose(hist.bin_mass, mass, rtol=0, atol=1e-12)
         assert np.array_equal(hist.bin_edges, edges)
 
 
@@ -268,39 +276,27 @@ class TestHistogram:
         assert hist.separable_mass == pytest.approx(1.0)
         np.testing.assert_allclose(hist.bin_mass, 0.0)
         # No entangled state: exact zero masses over (0, 1].
-        assert len(ts.entangled_index) == 0
+        assert not ts.entangled.any()
         assert np.array_equal(hist.bin_mass, np.zeros(10))
         assert np.array_equal(hist.bin_edges, np.linspace(0.0, 1.0, 11))
         mass, edges = np.histogram(np.empty(0), bins=10, range=(0.0, 1.0), weights=np.empty(0))
         assert np.array_equal(hist.bin_mass, mass) and np.array_equal(hist.bin_edges, edges)
 
-    def test_chunked_masses_equal_one_histogram(self):
-        # More than two 65536-state chunks of entangled states, and a count
-        # that is no multiple of 65536: if numpy's internal histogram block
-        # changed, the chunk sums would round differently from one call.
-        rng = np.random.default_rng(12)
-        n_ent, n_sep = 2 * 65536 + 1234, 500
-        p = np.concatenate([rng.uniform(0.34, 1.0, n_ent), rng.uniform(0.0, 0.33, n_sep)])
-        ts = families.TestSet(families.two_param_bell_weights(p, p))
-        ent = ts.entangled_index
-        assert len(ent) == n_ent
-        weights = rng.random(ts.n_states)
-        weights /= weights.sum()
-        hist = posterior.histogram_negativity(ts, weights, 50)
-        mass, edges = np.histogram(ts.negativities.take(ent), bins=50,
-                                   range=(0.0, float(ts.negativities.max())),
-                                   weights=weights.take(ent))
-        assert np.array_equal(hist.bin_mass, mass)
-        assert np.array_equal(hist.bin_edges, edges)
-
-    @pytest.mark.parametrize("n_bins", [1, 50, 300])
+    # Labels run from 0 to n_bins: one byte holds them up to 255 bins, and
+    # at 256 a wrapped top label would count as separable mass.
+    @pytest.mark.parametrize("n_bins", [1, 50, 255, 256, 300])
     def test_prior_masses_equal_numpy_histogram(self, prior_set, n_bins):
         w, neg, ent = np.asarray(prior_set.prior_weights), prior_set.negativities, prior_set.entangled
         hist = posterior.histogram_negativity(prior_set, w, n_bins)
-        mass, edges = np.histogram(neg[ent], bins=n_bins, range=(0.0, float(neg.max())),
-                                   weights=w[ent])
-        assert np.array_equal(hist.bin_mass, mass)
+        top = float(neg.max())
+        mass, edges = np.histogram(neg[ent], bins=n_bins, range=(0.0, top), weights=w[ent])
+        np.testing.assert_allclose(hist.bin_mass, mass, rtol=0, atol=1e-12)
         assert np.array_equal(hist.bin_edges, edges)
+        assert hist.bin_mass[-1] > 0  # the largest negativity is in the top bin
+        _, labels = prior_set.negativity_bins(n_bins)
+        assert labels.dtype == np.min_scalar_type(n_bins)
+        counts, _ = np.histogram(neg[ent], bins=n_bins, range=(0.0, top))
+        assert np.array_equal(np.bincount(labels, minlength=n_bins + 1)[1:], counts)
 
     def test_bin_cache_keeps_only_the_last_bin_count(self):
         ts = families.simplex_prior_bell_diagonal(20_000, seed=6)
@@ -310,15 +306,15 @@ class TestHistogram:
             hist = posterior.histogram_negativity(ts, w, n_bins)
             mass, edges = np.histogram(ts.negativities[ent], bins=n_bins, range=(0.0, top),
                                        weights=w[ent])
-            assert np.array_equal(hist.bin_mass, mass)
+            np.testing.assert_allclose(hist.bin_mass, mass, rtol=0, atol=1e-12)
             assert np.array_equal(hist.bin_edges, edges)
-        # The bins of 10 are cached, one byte per entangled state; a call
-        # with 300 bins replaces them rather than adding a second entry.
-        _, bins = ts.negativity_bins(10)
-        assert ts.negativity_bins(10)[1] is bins
-        assert bins.dtype == np.uint8 and bins.shape == (len(ts.entangled_index),)
+        # The labels of 10 bins are cached, one byte per state; a call with
+        # 300 bins replaces them rather than adding a second entry.
+        _, labels = ts.negativity_bins(10)
+        assert ts.negativity_bins(10)[1] is labels
+        assert labels.dtype == np.uint8 and labels.shape == (ts.n_states,)
         assert ts.negativity_bins(300)[1].dtype == np.uint16
-        assert ts.negativity_bins(10)[1] is not bins
+        assert ts.negativity_bins(10)[1] is not labels
 
     def test_mass_lands_in_correct_bin(self):
         ts = bell_diag_set([[1.0, 0.0, 0.0, 0.0], [0.75, 0.25, 0.0, 0.0]])
@@ -349,7 +345,7 @@ class TestHistogram:
         weights = np.random.default_rng(3).dirichlet(np.ones(len(params)))
         ts = bell_diag_set(params, weights)
         # Exactly on the edges, free of rounding in p1; the array is read-only,
-        # so it is replaced, before the indices are built.
+        # so it is replaced, before the mask and labels are built.
         ts.negativities = np.append(negs, ts.negativities[-1])
         ent = ts.entangled
         hist = posterior.histogram_negativity(ts, weights, n_bins)
@@ -460,10 +456,9 @@ class TestAllocationPeak:
     N = 200_000
     #: Sixteen float64 vectors of one block.
     SCRATCH = 16 * 8 * families.BLOCK
-    #: Slack for the first call's index build.  A whole-array pass may hold
-    #: one boolean mask of 1 B per state; the build's mask is freed before
-    #: the gather, so it fits in the gather's 8 B per state.
-    INDEX_SCRATCH = 2 * (1 + 8) * families.BLOCK
+    #: Four float64 vectors of one block: a readout's blocked pass holds
+    #: about three, so an n-sized cast or gather (8 B per state) fails.
+    READOUT_SCRATCH = 4 * 8 * families.BLOCK
 
     @pytest.fixture
     def traced(self):
@@ -493,9 +488,9 @@ class TestAllocationPeak:
 
     @pytest.fixture(params=["simplex", "all_entangled"])
     def first_call(self, request, traced):
-        """A new test set and a posterior on it, before any index is built:
-        the uniform simplex prior (about half its states entangled) or one
-        whose every state is entangled, where each gather is n-sized."""
+        """A new test set and a posterior on it, before its mask or labels are
+        built: the uniform simplex prior (about half its states entangled) or
+        one whose every state is entangled."""
         if request.param == "simplex":
             ts = families.simplex_prior_bell_diagonal(self.N, seed=0)
         else:
@@ -509,10 +504,11 @@ class TestAllocationPeak:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         posterior.summarize(ts, post)
-        peak = tracemalloc.get_traced_memory()[1]
-        # The intp indices it builds and keeps, 8 B per state, one gather
-        # of at most 8 B per state, and the index build's slack.
-        assert peak - before <= 16 * self.N + self.INDEX_SCRATCH
+        held, peak = tracemalloc.get_traced_memory()
+        # It keeps the entangled mask, 1 B per state, and sums through it
+        # with no n-sized gather or cast.
+        assert held - before <= self.N + 4096
+        assert peak - before <= self.N + self.READOUT_SCRATCH
 
     def test_histogram_negativity_first_call(self, first_call):
         ts, post = first_call
@@ -520,11 +516,7 @@ class TestAllocationPeak:
         before = tracemalloc.get_traced_memory()[0]
         posterior.histogram_negativity(ts, post.weights, 50)
         held, peak = tracemalloc.get_traced_memory()
-        # It keeps the intp indices, 8 B per state, and the bin cache, 1 B
-        # per entangled state.
-        assert held - before <= 8 * self.N + len(ts.entangled_index) + 4096
-        # The indices, then either the separable gather (at most 8 B per
-        # state), one block of the bin build, or one 65536-state chunk's
-        # weight gather and bincount; no n-sized gather of the entangled
-        # states.
-        assert peak - before <= 16 * self.N + self.SCRATCH
+        # It keeps the entangled mask and the labels, 1 B per state each.
+        assert held - before <= 2 * self.N + 4096
+        # Beyond them, one block of the label build or of the bincount.
+        assert peak - before <= 2 * self.N + self.READOUT_SCRATCH
