@@ -94,9 +94,9 @@ def _write_result(path, config, started, summary=None, histogram=None, compariso
         "version": __version__,
         "duration_s": round(time.monotonic() - started, 6),
     }
+    text = json.dumps(doc, indent=2)  # before the file opens, so a failure leaves none
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_histogram(args, values, started, hist: posterior.Histogram, summary=None, **extra):

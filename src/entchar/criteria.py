@@ -11,7 +11,8 @@ Three models are compared on a five-setting correlation record:
   for every off-diagonal-setting outcome and symmetric splits within the
   XX, YY and ZZ settings, so the fit has a closed form whenever the
   implied simplex weights are non-negative.  Otherwise the maximum lies on
-  a face of the simplex, where it is found exactly (``_face_maxima``).
+  a face of the simplex, where one bisection per face in Python floats
+  finds it to the last bit (``_face_maxima``).
 * "two_param": the white-noise + phase-noise family (2 parameters).  It
   is the Bell-diagonal family restricted to p3 = p4 with the additional
   constraint p1 - p2 <= p1 + p2 - 2*p3 (coherence cannot exceed the
@@ -86,8 +87,9 @@ def fit_bell_diagonal(freq: FrequencyTable):
     Returns (weights, closed_form).  The closed form inverts the observed
     same-outcome fractions of the XX, YY and ZZ settings.  When it leaves
     the simplex, the maximum lies on a face p_m = 0: ``_face_maxima`` finds
-    the maximum on each of the four faces, the likelihood picks the best,
-    and ``closed_form`` is False.  The likelihood is concave, so that face
+    the maximum on each of the four faces, by one bisection in Python
+    floats that raises no float error; the likelihood picks the best, and
+    ``closed_form`` is False.  The likelihood is concave, so that face
     maximum is the global one.
     """
     same, diff = posterior.same_different_counts(freq)
@@ -124,37 +126,34 @@ def _face_maxima(same: np.ndarray, diff: np.ndarray) -> np.ndarray:
     On face m the likelihood is sum_j a_j log q_j + b_j log(1 - q_j) over
     the three remaining weights q_j = p[_PARTNER[m, j]], subject to
     sum_j q_j = 1.  Stationarity a/q - b/(1-q) = lam gives each q_j as a
-    decreasing function of the multiplier lam; lam is bisected until the
-    floating-point bracket stops shrinking.  At lam = -n every q_j >= 1 + b_j/lam,
-    so sum_j q_j >= 1, and at lam = n every q_j <= a_j/lam, so sum_j q_j <= 1.
+    decreasing function of the multiplier lam, and each face bisects its
+    own lam in Python floats until the midpoint equals an end of its
+    bracket.  At lam = -n every q_j >= 1 + b_j/lam, so sum_j q_j >= 1, and
+    at lam = n every q_j <= a_j/lam, so sum_j q_j <= 1.  Of the root's two
+    forms, each free of cancellation on its side of t = lam + a + b = 0,
+    only the one that applies is evaluated; every setting has shots, so
+    lam < 0 on the second and no float error arises.
     """
-    # Float once, not per bisection step: integer counts are cast on every use.
-    a = np.where(_SAME, same, diff).astype(float)
-    b = np.where(_SAME, diff, same).astype(float)
+    counts = [(float(s), float(d)) for s, d in zip(same, diff)]
     n = float(same.sum() + diff.sum())
-    lo, hi = np.full((4, 1), -n), np.full((4, 1), n)
-    while True:
-        lam = (lo + hi) / 2.0
-        q = _face_weights(lam, a, b)
-        if not ((lo < lam) & (lam < hi)).any():
-            break
-        above = q.sum(axis=1, keepdims=True) > 1.0
-        lo, hi = np.where(above, lam, lo), np.where(above, hi, lam)
     weights = np.zeros((4, 4))
-    weights[np.arange(4)[:, None], _PARTNER] = q
+    for m in range(4):
+        pairs = [(s, d) if _SAME[m, j] else (d, s) for j, (s, d) in enumerate(counts)]
+        lo, hi = -n, n
+        while True:
+            lam = (lo + hi) / 2.0
+            q = []
+            for a, b in pairs:
+                # d * d, not d ** 2: ** calls the C library's pow, which may round apart.
+                t, d = lam + a + b, lam + b - a
+                root = math.sqrt(d * d + 4.0 * a * b)
+                q.append(2.0 * a / (t + root) if t > 0.0 else (t - root) / (2.0 * lam))
+            if not lo < lam < hi:
+                break
+            # Not sum(q): since Python 3.12 it compensates its rounding.
+            lo, hi = (lam, hi) if q[0] + q[1] + q[2] > 1.0 else (lo, lam)
+        weights[m, _PARTNER[m]] = q
     return weights / weights.sum(axis=1, keepdims=True)
-
-
-def _face_weights(lam: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The root q in [0, 1] of a/q - b/(1-q) = lam, elementwise.
-
-    The two forms are the same root, each free of cancellation on its side
-    of lam + a + b = 0; every setting has shots, so lam < 0 on the second.
-    """
-    t = lam + a + b
-    root = np.sqrt((lam + b - a) ** 2 + 4.0 * a * b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(t > 0.0, 2.0 * a / (t + root), (t - root) / (2.0 * lam))
 
 
 def fit_two_param(freq: FrequencyTable):

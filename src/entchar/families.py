@@ -18,9 +18,10 @@ that is the transpose view of a (4, n) buffer, so each weight
 ``w[:, k]`` is one contiguous vector.  The per-state arithmetic (spacings,
 negativity, purity, and the posterior module's log-likelihood) is written
 as elementwise operations on those columns, because numpy reduces along a
-short row axis, or gathers strided columns, several times slower than it
-streams a contiguous vector.  Every function still accepts any (n, 4)
-layout.
+short row axis several times slower than it streams a contiguous vector.
+Elementwise passes over strided columns are cheap enough that the simplex
+builder reads a block's (m, 3) draws in place rather than copy them into
+columns first.  Every function still accepts any (n, 4) layout.
 
 Block rule: five per-state passes run in blocks of ``BLOCK`` states
 (``blocks``), because their whole-array forms would hold n-sized
@@ -32,7 +33,8 @@ faster; the Bell-weight check and scalars in ``TestSet``, 16 against
 ``TestSet.negativity_bins`` over all states, 1.4 against 24 MB and 1.8
 times faster; the posterior module's log-likelihood kernel, 8 against
 24 MB and about twice as fast; its histogram's ``np.bincount``, which
-casts the 1-byte labels to intp, 0.1 against 8 MB at the same speed.
+casts the 1-byte labels to intp, 0.1 against 8 MB at the same speed (its
+blocks grow to n_bins + 1 states when there are more bins than ``BLOCK``).
 Each element goes through the same operations in the same order, so the
 values equal the one-shot formulas bit for bit.  Every other pass is
 whole-array: the posterior update works in place on the kernel's output
@@ -61,10 +63,10 @@ BLOCK = 16384
 MAX_COUNT = np.iinfo(np.intp).max // 32
 
 
-def blocks(n: int):
-    """Slices covering range(n) in order, BLOCK states each; the last may be shorter."""
-    for start in range(0, n, BLOCK):
-        yield slice(start, min(start + BLOCK, n))
+def blocks(n: int, size: int = BLOCK):
+    """Slices covering range(n) in order, ``size`` states each; the last may be shorter."""
+    for start in range(0, n, size):
+        yield slice(start, min(start + size, n))
 
 #: Bell basis vectors |Phi_1>..|Phi_4| in the |00>,|01>,|10>,|11> basis.
 BELL_VECTORS = np.array(
@@ -318,7 +320,7 @@ def simplex_prior_bell_diagonal(n: int, seed: int) -> TestSet:
     rng = np.random.default_rng(check_int(seed, "seed", 0))
     w = np.empty((4, n))
     for sl in blocks(n):
-        u0, u1, u2 = np.ascontiguousarray(rng.random((sl.stop - sl.start, 3)).T)
+        u0, u1, u2 = rng.random((sl.stop - sl.start, 3)).T
         # Compare-exchange (0, 1), (1, 2), (0, 1) leaves a <= b <= c.
         a, b = np.minimum(u0, u1), np.maximum(u0, u1)
         b, c = np.minimum(b, u2), np.maximum(b, u2)

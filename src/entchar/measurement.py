@@ -199,11 +199,14 @@ def record_from_dict(doc: dict) -> MeasurementRecord:
 
 def save_record(rec: MeasurementRecord, path) -> None:
     """Write the record as JSON; DataError, and no file, if it breaks the
-    file's integer rule."""
+    file's integer rule or its ``meta`` holds a value JSON cannot write."""
     doc = record_to_dict(rec)
+    try:
+        text = json.dumps(doc, indent=2)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"record meta cannot be written as JSON: {exc}") from exc
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_record(path) -> MeasurementRecord:

@@ -216,13 +216,16 @@ def histogram_negativity(ts: TestSet, weights: np.ndarray, n_bins: int) -> Histo
     0 for a state that is not entangled, else 1 + its bin), so a call adds
     the weights per label with ``np.bincount``, block by block so that no
     n-sized intp copy of the labels is held; label 0's mass is
-    ``separable_mass``.  ``weights`` must have shape (n,) and ``n_bins``
-    must be an integer in [1, ``families.MAX_COUNT``], else ConfigError.
+    ``separable_mass``.  A block holds at least as many states as there are
+    labels, so the bincount slots of all blocks cost O(n + n_bins), not
+    O(n_bins) per block.  ``weights`` must have shape (n,) and
+    ``n_bins`` must be an integer in [1, ``families.MAX_COUNT``], else
+    ConfigError.
     """
     weights = _readout_weights(ts, weights)
     edges, labels = ts.negativity_bins(n_bins)
     mass = np.zeros(len(edges))  # n_bins + 1 slots: label 0, then each bin
-    for sl in families.blocks(ts.n_states):
+    for sl in families.blocks(ts.n_states, max(families.BLOCK, len(edges))):
         mass += np.bincount(labels[sl], weights[sl], minlength=len(edges))
     return Histogram(bin_edges=edges.copy(), bin_mass=mass[1:], separable_mass=float(mass[0]))
 

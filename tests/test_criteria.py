@@ -151,6 +151,46 @@ class TestFullBound:
 FALLBACK_RECORDS = fallback_records()
 
 
+def vectorized_face_fit(freq):
+    """Reference Bell-diagonal face fit: the four faces bisected as one
+    array, both root forms evaluated everywhere, and the likelihood's
+    argmax face chosen."""
+    same, diff = posterior.same_different_counts(freq)
+    is_same = posterior.SAME_OUTCOME_MAP.astype(bool)
+    partner = np.array(
+        [[next(i for i in range(4) if i != m and is_same[i, j] == is_same[m, j])
+          for j in range(3)] for m in range(4)])
+    a = np.where(is_same, same, diff).astype(float)
+    b = np.where(is_same, diff, same).astype(float)
+    n = float(same.sum() + diff.sum())
+    lo, hi = np.full((4, 1), -n), np.full((4, 1), n)
+    while True:
+        lam = (lo + hi) / 2.0
+        t = lam + a + b
+        root = np.sqrt((lam + b - a) ** 2 + 4.0 * a * b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = np.where(t > 0.0, 2.0 * a / (t + root), (t - root) / (2.0 * lam))
+        if not ((lo < lam) & (lam < hi)).any():
+            break
+        above = q.sum(axis=1, keepdims=True) > 1.0
+        lo, hi = np.where(above, lam, lo), np.where(above, hi, lam)
+    faces = np.zeros((4, 4))
+    faces[np.arange(4)[:, None], partner] = q
+    faces /= faces.sum(axis=1, keepdims=True)
+    return faces[np.argmax(posterior.bell_log_likelihood(faces, freq))]
+
+
+def seeded_records():
+    """Records of the paper's mixtures and of the benchmark's sweep sources."""
+    rho1, rho2 = families.reference_mixture("rho1"), families.reference_mixture("rho2")
+    plan = [(rho1, 1000), (rho2, 100)]
+    for rho in (families.two_param_state(0.4, 0.4), families.two_param_state(1 / 3, 1 / 3),
+                rho1, rho2, families.rho_k_state(0.7)):
+        plan += [(rho, shots) for shots in (60, 400, 1000, 10_000)]
+    return [measurement.simulate_record(rho, shots, seed=seed)
+            for rho, shots in plan for seed in range(20)]
+
+
 class TestFitBellDiagonal:
     def test_recovers_exact_weights(self):
         truth = np.array([0.55, 0.2, 0.15, 0.1])
@@ -214,6 +254,20 @@ class TestFitBellDiagonal:
         assert grad[positive].max() - grad[positive].min() <= tol
         if not positive.all():
             assert grad[~positive].max() <= grad[positive].min() + tol
+
+    def test_face_fit_equals_vectorized_reference(self):
+        # The last record's fit moves by an ulp if the root squares with pow.
+        pow_sensitive = make_record([[770, 4230, 4252, 748], [2449, 2577, 2490, 2484],
+                                     [2583, 2410, 2486, 2521], [44, 4932, 4980, 44],
+                                     [672, 4333, 4328, 667]])
+        fallbacks = 0
+        for rec in [*FALLBACK_RECORDS.values(), *seeded_records(), pow_sensitive]:
+            freq = measurement.frequencies(rec)
+            p, closed = criteria.fit_bell_diagonal(freq)
+            if not closed:
+                fallbacks += 1
+                assert np.array_equal(p, vectorized_face_fit(freq))
+        assert fallbacks >= 100
 
     def test_log_l_matches_state_likelihood(self):
         for seed in range(5):

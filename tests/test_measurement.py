@@ -307,6 +307,14 @@ class TestRecordSerialization:
             measurement.save_record(rec, path)
         assert not path.exists()
 
+    def test_non_json_meta_is_refused_and_writes_nothing(self, tmp_path):
+        # The text is built before the file opens, so nothing partial is left.
+        rec = measurement.simulate_record(families.bell_state(1), 10, 0, label=np.float32(1.5))
+        path = tmp_path / "rec.json"
+        with pytest.raises(DataError, match="meta"):
+            measurement.save_record(rec, path)
+        assert not path.exists()
+
     @pytest.mark.parametrize("counts", [
         np.arange(20, dtype=np.int64).reshape(5, 4),
         np.arange(20, dtype=float).reshape(5, 4),

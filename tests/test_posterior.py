@@ -298,6 +298,26 @@ class TestHistogram:
         counts, _ = np.histogram(neg[ent], bins=n_bins, range=(0.0, top))
         assert np.array_equal(np.bincount(labels, minlength=n_bins + 1)[1:], counts)
 
+    def test_more_bins_than_a_block(self, monkeypatch):
+        # A block grows to the label count, so a call's bincount slots stay
+        # O(n + n_bins), not O(n_bins) per block of BLOCK states.
+        ts = families.simplex_prior_bell_diagonal(200_000, seed=4)
+        w, neg, ent = np.asarray(ts.prior_weights), ts.negativities, ts.entangled
+        n_bins = 3 * families.BLOCK
+        calls, bincount = [], np.bincount
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return bincount(*args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", counted)
+        hist = posterior.histogram_negativity(ts, w, n_bins)
+        assert 0 < len(calls) <= -(-ts.n_states // max(families.BLOCK, n_bins + 1))
+        mass, edges = np.histogram(neg[ent], bins=n_bins, range=(0.0, float(neg.max())),
+                                   weights=w[ent])
+        np.testing.assert_allclose(hist.bin_mass, mass, rtol=0, atol=1e-12)
+        assert np.array_equal(hist.bin_edges, edges)
+
     def test_bin_cache_keeps_only_the_last_bin_count(self):
         ts = families.simplex_prior_bell_diagonal(20_000, seed=6)
         w = np.random.default_rng(6).dirichlet(np.ones(ts.n_states))
