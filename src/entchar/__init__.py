@@ -1,8 +1,19 @@
 """Characterize a two-qubit entanglement source from finite measurement records.
 
 Every name is reached through its module, as ``entchar.posterior.update_posterior``.
+
+numpy, and scipy.special where the two-parameter family needs it, load
+with one OpenBLAS thread unless the caller set ``OPENBLAS_NUM_THREADS``,
+``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``: entchar's readouts are
+``np.einsum`` sums, so a thread pool would only slow start-up.  A library
+imported before entchar keeps its own default, and ``os.environ`` is left
+as the caller set it.
 """
 
-from . import criteria, families, linalg, measurement, posterior
+from ._blas import one_blas_thread
+
+with one_blas_thread():
+    from . import criteria, families, linalg, measurement, posterior
+del one_blas_thread
 
 __version__ = "0.1.0"

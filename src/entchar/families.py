@@ -45,10 +45,11 @@ sums in order and so differ from a whole-array sum only in rounding.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
+from ._blas import one_blas_thread
 from .errors import ConfigError, check_int, check_real
 from .linalg import NEGATIVITY_FLOOR
 
@@ -86,6 +87,19 @@ def bell_state(i: int) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+@cache
+def _erf_wofz():
+    """scipy.special's erf and wofz, imported on first use with one OpenBLAS thread.
+
+    Imported here, not with the module, so only the two-parameter family
+    pays scipy's load time; cached, so the environment is touched once,
+    not on each of a grid's coherence factors.
+    """
+    with one_blas_thread():
+        from scipy.special import erf, wofz
+    return erf, wofz
+
+
 def coherence_factor(sigma: float) -> float:
     """Off-diagonal damping factor c(sigma) of the phase-averaged Bell state.
 
@@ -99,11 +113,8 @@ def coherence_factor(sigma: float) -> float:
     Re[exp(-sigma^2/4) + exp(-pi^2/sigma^2) * w(-sigma/2 + i*pi/sigma)],
     so that no factor overflows at large sigma.  Where pi/sigma overflows
     (sigma = 0 and sigma below 1.75e-308) c takes its limit 1.
-
-    scipy is imported here, not with the module, so only the two-parameter
-    family pays its load time.
     """
-    from scipy.special import erf, wofz
+    erf, wofz = _erf_wofz()
 
     sigma = check_real(sigma, "sigma")
     if not np.isfinite(sigma):

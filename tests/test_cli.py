@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from entchar import cli, families
+from entchar._blas import THREAD_VARIABLES
 from entchar.errors import ConfigError, DataError, EntcharError
 
 
@@ -165,22 +166,29 @@ class TestCharacterize:
     def test_replay_does_not_depend_on_blas_threads(self, tmp_path):
         # A BLAS dot product splits its sum across threads, so a moment
         # computed by one would change in its last bit with the thread count.
+        # Unset is entchar's own one-thread load; the two-param prior also
+        # loads scipy.special.
         rec = tmp_path / "rec.json"
         assert run(["simulate", "--state", "rho1", "--shots", "1000", "--seed", "7",
                     "--out", str(rec)]) == 0
         src = str(Path(cli.__file__).resolve().parents[1])
-        docs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"res-{threads}.json"
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-            subprocess.run([sys.executable, "-m", "entchar.cli", "characterize", "--record",
-                            str(rec), "--prior", "bell-diag", "--samples", "20000", "--seed", "1",
-                            "--out", str(out)], env=env, check=True, capture_output=True)
-            doc = json.loads(out.read_text())
-            doc.pop("duration_s")
-            docs.append(doc)
-        assert docs[0] == docs[1]
+        unset = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+        for prior in (["bell-diag", "--samples", "20000", "--seed", "1"],
+                      ["two-param", "--grid", "40x40"]):
+            docs = []
+            for threads in (None, "1", "2"):
+                out = tmp_path / f"res-{prior[0]}-{threads}.json"
+                env = {**unset,
+                       "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+                if threads is not None:
+                    env["OPENBLAS_NUM_THREADS"] = threads
+                subprocess.run([sys.executable, "-m", "entchar.cli", "characterize", "--record",
+                                str(rec), "--prior", *prior, "--out", str(out)],
+                               env=env, check=True, capture_output=True)
+                doc = json.loads(out.read_text())
+                doc.pop("duration_s")
+                docs.append(doc)
+            assert docs[0] == docs[1] == docs[2], prior[0]
 
     def test_result_document(self, tmp_path, record_path):
         out = tmp_path / "res.json"
