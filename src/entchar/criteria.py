@@ -20,10 +20,11 @@ Three models are compared on a five-setting correlation record:
 
 Both fits read the XX, YY and ZZ same/different-outcome counts
 (``posterior.same_different_counts``), so each setting weighs by its
-shots.  Both restricted models are scored at their fitted Bell weights by
-the posterior module's likelihood kernel, so the posterior and the model
-comparison share one likelihood and its no-multinomial-coefficient
-convention; all score differences are convention-free.
+shots.  Both restricted models are scored by the posterior module's
+likelihood kernel on their fitted Bell weights as a one-state test set,
+so the posterior and the model comparison share one likelihood and its
+no-multinomial-coefficient convention; all score differences are
+convention-free.
 """
 
 import math
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import families, measurement, posterior
-from .errors import check_int
+from .errors import DataError, check_int
 from .measurement import FrequencyTable, MeasurementRecord
 
 K_FULL = 11  # 6 local marginals + 5 correlators, as fixed by the published table
@@ -106,7 +107,7 @@ def fit_bell_diagonal(freq: FrequencyTable):
         p = np.clip(p, 0.0, None)
         return p / p.sum(), True
     faces = _face_maxima(same, diff)
-    return faces[np.argmax(posterior.bell_log_likelihood(faces, freq))], False
+    return faces[np.argmax(posterior.log_likelihood_vector(families.TestSet(faces), freq))], False
 
 
 _SAME = posterior.SAME_OUTCOME_MAP.astype(bool)
@@ -165,21 +166,22 @@ def fit_two_param(freq: FrequencyTable):
     unconstrained fit sets p from the ZZ counts and b from the XX and YY
     counts pooled.  When that violates b <= p, the maximizer lies on the
     b = p face, which pools all three settings and is itself closed-form.
-    ``closed_form`` is True for the unconstrained case only.
+    ``closed_form`` is True for the unconstrained case only, where a b
+    past p by rounding (1e-15) is taken as p, so no Bell weight is < 0.
     """
     (s_xx, s_yy, s_zz), (d_xx, d_yy, d_zz) = posterior.same_different_counts(freq)
     up, down = s_xx + d_yy, d_xx + s_yy
     p_un = float(np.clip((s_zz - d_zz) / (s_zz + d_zz), 0.0, 1.0))
     b_un = float(np.clip((up - down) / (up + down), 0.0, 1.0))
     if b_un <= p_un + 1e-15:
-        return p_un, b_un, True
+        return p_un, min(b_un, p_un), True
     up, down = up + s_zz, down + d_zz
     shared = float(np.clip((up - down) / (up + down), 0.0, 1.0))
     return shared, shared, False
 
 
 def _log_l(weights, rec: MeasurementRecord) -> float:
-    return float(posterior.bell_log_likelihood(np.atleast_2d(weights), rec)[0])
+    return float(posterior.log_likelihood_vector(families.TestSet(np.atleast_2d(weights)), rec)[0])
 
 
 def score(log_l: float, k: int, n_m: int) -> ModelScore:
@@ -201,10 +203,13 @@ def _winner(scores, key) -> str:
 
 
 def compare(rec: MeasurementRecord) -> ComparisonReport:
-    """Score all three models on one record and report the deltas."""
+    """Score all three models on one record and report the deltas; DataError
+    also if the record's counts round to fewer than one shot."""
     measurement.require_default_settings(rec)
     freq = measurement.frequencies(rec)
     n_m = rec.n_total
+    if n_m < 1:
+        raise DataError(f"record counts total {float(rec.counts.sum())!r}, under one shot")
     p_bd, bd_closed = fit_bell_diagonal(freq)
     p_tp, b_tp, tp_closed = fit_two_param(freq)
     l_tp = _log_l(families.two_param_bell_weights(p_tp, b_tp), rec)

@@ -10,8 +10,9 @@ Two families back the priors used for Bayesian updating:
 Both are Bell-diagonal, so every state is described by four Bell weights,
 and a test set is those weights and a prior over them (``TestSet``).
 Likelihoods and mean states are therefore computed from four numbers per
-state, and ``TestSet`` caches negativity and purity from their closed
-forms in those weights.
+state, and ``TestSet`` holds what those weights alone determine:
+negativity and purity from their closed forms, the entangled mask, and
+the column merge of the posterior module's likelihood kernel.
 
 The builders store the Bell weights column-contiguously: an (n, 4) array
 that is the transpose view of a (4, n) buffer, so each weight
@@ -28,17 +29,17 @@ Block rule: five per-state passes run in blocks of ``BLOCK`` states
 temporaries beside their results.  Measured alone at 10^6 states on a
 2-vCPU Xeon (peak traced memory, blocked against whole-array): the
 simplex builder's draws and sort, 34 against 96 MB and about three times
-faster; the Bell-weight check and scalars in ``TestSet``, 16 against
-32 MB and about twice as fast; the histogram labels of
-``TestSet.negativity_bins`` over all states, 1.4 against 24 MB and 1.8
-times faster; the posterior module's log-likelihood kernel, 8 against
-24 MB and about twice as fast; its histogram's ``np.bincount``, which
-casts the 1-byte labels to intp, 0.1 against 8 MB at the same speed (its
-blocks grow to n_bins + 1 states when there are more bins than ``BLOCK``).
-Each element goes through the same operations in the same order, so the
-values equal the one-shot formulas bit for bit.  Every other pass is
-whole-array: the posterior update works in place on the kernel's output
-with one boolean mask, and the entangled mask is one comparison.
+faster; the Bell-weight check and scalars in ``TestSet`` (which also
+write the entangled mask), 16 against 32 MB and about twice as fast; the
+histogram labels of ``TestSet.negativity_bins`` over all states, 1.4
+against 24 MB and 1.8 times faster; the posterior module's
+log-likelihood kernel, 8 against 24 MB and about twice as fast; its
+histogram's ``np.bincount``, which casts the 1-byte labels to intp, 0.1
+against 8 MB at the same speed (its blocks grow to n_bins + 1 states
+when there are more bins than ``BLOCK``).  Each element goes through the
+same operations in the same order, so the values equal the one-shot
+formulas bit for bit.  Every other pass is whole-array: the posterior
+update works in place on the kernel's output with one boolean mask.
 Reductions stay whole-array (the maximum, the entangled probability and
 the posterior moments), except the histogram's masses, which add block
 sums in order and so differ from a whole-array sum only in rounding.
@@ -55,7 +56,7 @@ from .linalg import NEGATIVITY_FLOOR
 
 _SQRT2 = np.sqrt(2.0)
 
-#: States per block of the three blocked passes; a block's float64 vector is
+#: States per block of the blocked passes; a block's float64 vector is
 #: 128 KiB, so the few a pass touches stay in a 2 MiB L2 cache.
 BLOCK = 16384
 
@@ -172,19 +173,6 @@ def bell_diagonal_state(pvec) -> np.ndarray:
     return rho
 
 
-def bell_diagonal_negativity(pvec, out=None):
-    """2 * max(0, max_i p_i - 1/2) for each row of Bell-diagonal weights, as (n,) or into out."""
-    w = np.atleast_2d(pvec)
-    top = np.maximum(np.maximum(w[:, 0], w[:, 1]), np.maximum(w[:, 2], w[:, 3]))
-    return np.multiply(2.0, np.maximum(0.0, top - 0.5), out=out)
-
-
-def bell_diagonal_purity(pvec, out=None):
-    """Tr(rho^2) = sum_i p_i^2 for each row of Bell-diagonal weights, as (n,) or into out."""
-    w = np.atleast_2d(pvec)
-    return np.add((w[:, 0] ** 2 + w[:, 1] ** 2) + w[:, 2] ** 2, w[:, 3] ** 2, out=out)
-
-
 def rho_k_state(k: float) -> np.ndarray:
     """0.5 |psi_k><psi_k| + 0.5 I/4 with |psi_k> = (|00> + k|11>)/sqrt(1+k^2).
 
@@ -223,30 +211,31 @@ class TestSet:
     must be non-negative and sum to 1 within 1e-12, so NaN and inf fail.
     The builders make it column-contiguous (the transpose view of a (4, n)
     buffer), so the likelihood kernel streams each weight as one contiguous
-    vector; a row-major array gives the same results, slower.
-    ``negativities`` and ``purities`` are computed from the Bell weights
-    (``bell_diagonal_negativity``, ``bell_diagonal_purity``) and are
-    read-only, so writing to them raises ValueError.  Without
-    ``prior_weights`` the prior is uniform: a read-only (n,) view of the
-    single value 1/n (``np.broadcast_to``, stride 0), so it holds no
-    n-sized buffer and writing to it raises ValueError.  Given ones must
-    have shape (n,), be non-negative and sum to 1 within 1e-12, so a NaN
-    or infinite entry is refused.  A sequential update starts from the
-    last posterior: ``TestSet(ts.bell_weights, post.weights)``.
+    vector; a row-major array gives the same results, slower.  The pass
+    that checks the rows also writes what they alone determine, read-only
+    (writing raises ValueError): ``negativities``, ``purities`` and the
+    ``entangled`` mask (negativity above ``linalg.NEGATIVITY_FLOOR``, 1 B
+    per state).  Without ``prior_weights`` the prior is uniform: a
+    read-only (n,) view of the single value 1/n (``np.broadcast_to``,
+    stride 0) that holds no n-sized buffer; its sum is within 4.4e-16 of 1
+    at every n up to 3e8, so it is not checked.  A given prior must have
+    shape (n,), be non-negative and sum to 1 within 1e-12.  A sequential
+    update starts from the last posterior: ``TestSet(ts.bell_weights,
+    post.weights)``.
 
-    ``entangled`` is the read-only mask of the states with negativity
-    above ``linalg.NEGATIVITY_FLOOR``, 1 B per state, built on first use
-    and cached.  Beside it, ``negativity_bins`` caches one histogram label
-    per state for the last bin count (0 where the state is not entangled,
-    else 1 + its bin), in the smallest unsigned dtype that holds the bin
-    count (1 B per state up to 255 bins).  ``negativities`` must not be
-    replaced once a cache is built.
+    Two caches are built on first use: ``equal_columns``, the likelihood
+    kernel's column merge, and ``negativity_bins``, one histogram label per
+    state for the last bin count (0 where the state is not entangled, else
+    1 + its bin), in the smallest unsigned dtype that holds the bin count
+    (1 B per state up to 255 bins).  ``bell_weights`` and ``negativities``
+    must not be replaced once a cache is built.
     """
 
     bell_weights: np.ndarray
     prior_weights: np.ndarray | None = None
     negativities: np.ndarray = field(init=False, repr=False, compare=False)
     purities: np.ndarray = field(init=False, repr=False, compare=False)
+    entangled: np.ndarray = field(init=False, repr=False, compare=False)
     _bins: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -254,28 +243,38 @@ class TestSet:
         if weights.ndim != 2 or len(weights) < 1:
             raise ConfigError(f"Bell weights must be an (n >= 1, 4) array, got shape {weights.shape}")
         n = len(weights)
-        negativities, purities = np.empty(n), np.empty(n)
+        negativities, purities, entangled = np.empty(n), np.empty(n), np.empty(n, bool)
         for sl in blocks(n):
-            block = weights[sl]
-            _check_simplex(block, (len(block), 4), "Bell weights")
-            bell_diagonal_negativity(block, out=negativities[sl])
-            bell_diagonal_purity(block, out=purities[sl])
-        negativities.flags.writeable = purities.flags.writeable = False
-        self.negativities, self.purities = negativities, purities
+            w = weights[sl]
+            _check_simplex(w, (len(w), 4), "Bell weights")
+            top = np.maximum(np.maximum(w[:, 0], w[:, 1]), np.maximum(w[:, 2], w[:, 3]))
+            np.multiply(2.0, np.maximum(0.0, top - 0.5), out=negativities[sl])
+            np.add((w[:, 0] ** 2 + w[:, 1] ** 2) + w[:, 2] ** 2, w[:, 3] ** 2, out=purities[sl])
+            np.greater(negativities[sl], NEGATIVITY_FLOOR, out=entangled[sl])
+        for scalars in (negativities, purities, entangled):
+            scalars.flags.writeable = False
+        self.negativities, self.purities, self.entangled = negativities, purities, entangled
         if self.prior_weights is None:
             self.prior_weights = np.broadcast_to(1.0 / n, (n,))
-        self.prior_weights = np.asarray(self.prior_weights, dtype=float)
-        _check_simplex(self.prior_weights, (n,), "prior weights")
+        else:
+            self.prior_weights = np.asarray(self.prior_weights, dtype=float)
+            _check_simplex(self.prior_weights, (n,), "prior weights")
 
     @property
     def n_states(self) -> int:
         return len(self.bell_weights)
 
     @cached_property
-    def entangled(self) -> np.ndarray:
-        mask = self.negativities > NEGATIVITY_FLOOR
-        mask.flags.writeable = False
-        return mask
+    def equal_columns(self) -> tuple:
+        """For each Bell-weight column, the first column equal to it in every
+        state: (0, 1, 2, 2) on the two-parameter grid, where w_3 = w_4."""
+        w = self.bell_weights
+
+        def equal(j, k):  # row 0 first, then block by block up to the first mismatch
+            return (w[:1, j] == w[:1, k]).all() and all(
+                (w[sl, j] == w[sl, k]).all() for sl in blocks(len(w)))
+
+        return tuple(next((j for j in range(k) if equal(j, k)), k) for k in range(4))
 
     def negativity_bins(self, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
         """Edges of ``n_bins`` equal bins over [0, top] and one label per state:

@@ -3,13 +3,15 @@
 Every test state is Bell-diagonal.  This module alone states what four
 Bell weights predict on the five default settings (``SAME_OUTCOME_MAP``),
 which record counts those predictions read (``same_different_counts``),
-and the likelihood kernel built on both (``bell_log_likelihood``), which
-the posterior and the fits in ``criteria`` share.  The kernel takes one
-log per distinct pair sum w_a + w_b: the different-outcome pairs are the
-same-outcome pairs' complements, so nothing is clipped, and Bell-weight
-columns equal in every state are merged.  The posterior mean state is
-the Bell-diagonal state of the mean weights.  ``log_likelihood`` is the
-generic per-state version for any density matrix.
+and the likelihood kernel built on both (``log_likelihood_vector``), which
+takes a test set and which the posterior and the fits in ``criteria``
+share.  The kernel takes one log per distinct pair sum w_a + w_b: the
+different-outcome pairs are the same-outcome pairs' complements, so
+nothing is clipped, and Bell-weight columns equal in every state are
+merged (``TestSet.equal_columns``, found once per test set).  The
+posterior mean state is the Bell-diagonal state of the mean weights.
+``log_likelihood`` is the generic per-state version for any density
+matrix.
 
 Log-likelihoods drop the multinomial coefficient: it is constant across
 states, cancels in the posterior normalization, and the model-comparison
@@ -97,50 +99,36 @@ def same_different_counts(rec_or_freq):
     return split[:, 0] + split[:, 3], split[:, 1] + split[:, 2]
 
 
-def _equal_columns(w: np.ndarray) -> list:
-    """For each Bell-weight column, the first column equal to it in every state."""
-    def equal(j, k):  # row 0 first, then block by block up to the first mismatch
-        return (w[:1, j] == w[:1, k]).all() and all(
-            (w[sl, j] == w[sl, k]).all() for sl in families.blocks(len(w)))
-
-    return [next((j for j in range(k) if equal(j, k)), k) for k in range(w.shape[1])]
-
-
-def bell_log_likelihood(weights, rec) -> np.ndarray:
-    """Log-likelihood of a default-settings record under rows of Bell weights (n, 4).
+def log_likelihood_vector(ts: TestSet, rec) -> np.ndarray:
+    """Log-likelihood of a default-settings record under every state of the test set.
 
     Sum of count * log(w_a + w_b) over the outcome pairs, plus the XY/YX
     outcomes' log(1/4) and -log 2 per XX, YY and ZZ count; columns equal in
-    every row of ``weights`` (w_3 = w_4 on the two-parameter grid) are
-    merged, so an equal pair sum takes one log for its added counts.  An
-    observed zero-probability outcome gives -inf.  ``rec`` is a
+    every state (``TestSet.equal_columns``: w_3 = w_4 on the two-parameter
+    grid) are merged, so an equal pair sum takes one log for its added
+    counts.  An observed zero-probability outcome gives -inf.  ``rec`` is a
     MeasurementRecord or a FrequencyTable.
     """
     same, diff = same_different_counts(rec)
     n_split = float(same.sum() + diff.sum())
     n_quarter = float(rec.counts.sum() - same.sum() - diff.sum())
     constant = n_quarter * _LOG_QUARTER - n_split * _LOG_2
-    w = np.asarray(weights, dtype=float)
+    w = ts.bell_weights
     # Counts per distinct pair sum; unobserved outcomes are left out, so
     # that 0 * log(0) never arises.
-    first, terms = _equal_columns(w), {}
+    first, terms = ts.equal_columns, {}
     for (i, k), n in zip(_OUTCOME_PAIRS, np.concatenate([same, diff])):
         if n > 0:
             pair = tuple(sorted((first[i], first[k])))
             terms[pair] = terms.get(pair, 0) + n
-    ll = np.zeros(len(w))
+    ll = np.zeros(ts.n_states)
     with np.errstate(divide="ignore"):
-        for sl in families.blocks(len(w)):
+        for sl in families.blocks(ts.n_states):
             acc = ll[sl]
             for (i, k), n in terms.items():
                 acc += np.log(w[sl, i] + w[sl, k]) * n
             acc += constant
     return ll
-
-
-def log_likelihood_vector(ts: TestSet, rec: measurement.MeasurementRecord) -> np.ndarray:
-    """Log-likelihood of the record under every state in the test set."""
-    return bell_log_likelihood(ts.bell_weights, rec)
 
 
 def update_posterior(ts: TestSet, rec: measurement.MeasurementRecord) -> Posterior:
@@ -151,9 +139,9 @@ def update_posterior(ts: TestSet, rec: measurement.MeasurementRecord) -> Posteri
     log-likelihoods below log(tiny) count as an exponential of exactly 0
     (the module's subnormal rule): they are clamped and zeroed before
     ``np.exp`` and their weights zeroed after, so numpy runs its unmasked
-    loop and never its slow subnormal path.  The prior was checked when
-    the test set was built; to update sequentially, build the next test set
-    as ``TestSet(ts.bell_weights, post.weights)``.
+    loop and never its slow subnormal path.  A prior the caller gave was
+    checked when the test set was built; to update sequentially, build the
+    next test set as ``TestSet(ts.bell_weights, post.weights)``.
     """
     w = log_likelihood_vector(ts, rec)
     shift = w.max()
@@ -189,8 +177,8 @@ def _readout_weights(ts: TestSet, weights) -> np.ndarray:
 def summarize(ts: TestSet, post: Posterior) -> EstimateSummary:
     """Posterior entanglement probability and negativity/purity moments.
 
-    ``prob_entangled`` is the weight on the test set's cached ``entangled``
-    mask; every field is a Python float.  Each field is an einsum sum of
+    ``prob_entangled`` is the weight on the test set's ``entangled`` mask;
+    every field is a Python float.  Each field is an einsum sum of
     products, which needs no n-sized temporary and, unlike a BLAS dot
     product, does not depend on the BLAS thread count.
     """

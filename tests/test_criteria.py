@@ -177,7 +177,7 @@ def vectorized_face_fit(freq):
     faces = np.zeros((4, 4))
     faces[np.arange(4)[:, None], partner] = q
     faces /= faces.sum(axis=1, keepdims=True)
-    return faces[np.argmax(posterior.bell_log_likelihood(faces, freq))]
+    return faces[np.argmax(posterior.log_likelihood_vector(families.TestSet(faces), freq))]
 
 
 def seeded_records():
@@ -241,7 +241,7 @@ class TestFitBellDiagonal:
         np.testing.assert_allclose(p, [0.75, 0.0, 0.0, 0.25], rtol=0, atol=1e-12)
         ll = max_log_l(rec, "bell_diag")
         random_points = np.random.default_rng(3).dirichlet(np.ones(4), 200_000)
-        assert ll >= posterior.bell_log_likelihood(random_points, rec).max()
+        assert ll >= posterior.log_likelihood_vector(families.TestSet(random_points), rec).max()
 
     @pytest.mark.parametrize("rec", FALLBACK_RECORDS.values(), ids=FALLBACK_RECORDS.keys())
     def test_fallback_satisfies_kkt(self, rec):
@@ -334,6 +334,16 @@ class TestFitTwoParam:
         assert not closed and p == b
         assert p == pytest.approx((180 + 180 + 600 - 20 - 20 - 400) / 1400, abs=1e-12)
         assert max_log_l(rec, "two_param") >= fine_grid_max(rec) - 1e-9
+
+    def test_rounding_level_b_past_p_is_returned_as_p(self):
+        # 2**53 ZZ same outcomes and one different put p one ulp below 1,
+        # XX and YY put b at 1: b > p by rounding, where the Bell weight
+        # (1 - p)/4 + (p - b)/2 would be negative and fail the simplex rule.
+        rec = make_record([[5, 0, 0, 5], [1] * 4, [1] * 4, [0, 5, 5, 0], [2**53, 1, 0, 0]])
+        p, b, closed = criteria.fit_two_param(measurement.frequencies(rec))
+        assert closed and p == b == np.nextafter(1.0, 0.0)
+        assert families.two_param_bell_weights(p, b).min() >= 0.0
+        assert criteria.compare(rec).closed_form["two_param"]
 
     def test_log_l_matches_state_likelihood(self):
         for seed in range(5):
@@ -431,6 +441,14 @@ class TestCompare:
             settings=((1, 1), (1, 2), (2, 1), (2, 2)), counts=np.full((4, 4), 5)
         )
         with pytest.raises(DataError):
+            criteria.compare(rec)
+
+    def test_record_below_one_shot_is_data_error(self):
+        # Twenty expected counts of 0.02 total 0.4 shots, which round to no
+        # shot for BIC: the record is at fault, not an argument.
+        rec = measurement.MeasurementRecord(settings=measurement.DEFAULT_SETTINGS,
+                                            counts=np.full((5, 4), 0.02))
+        with pytest.raises(DataError, match=r"^record counts total 0\.4"):
             criteria.compare(rec)
 
 

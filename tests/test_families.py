@@ -314,7 +314,7 @@ def test_test_set_from_bell_weights_alone():
         assert abs(ts.purities[i] - linalg.purity(rho)) <= 1e-12
 
 
-@pytest.mark.parametrize("name", ["negativities", "purities"])
+@pytest.mark.parametrize("name", ["negativities", "purities", "entangled"])
 def test_state_scalars_are_read_only(name):
     ts = families.simplex_prior_bell_diagonal(10, seed=0)
     with pytest.raises(ValueError, match="read-only"):
@@ -326,6 +326,46 @@ def test_nan_prior_weight_is_refused():
     # this prior would return NaN weights.
     with pytest.raises(ConfigError, match="prior weights"):
         families.TestSet(np.full((3, 4), 0.25), prior_weights=np.array([np.nan, 0.5, 0.5]))
+
+
+@pytest.mark.parametrize("prior", [np.array([-0.1, 0.6, 0.5]), np.full(3, 0.3)],
+                         ids=["negative", "sum_0.9"])
+def test_caller_prior_off_the_simplex_is_refused(prior):
+    with pytest.raises(ConfigError, match="prior weights must be non-negative and sum to 1"):
+        families.TestSet(np.full((3, 4), 0.25), prior_weights=prior)
+
+
+def test_only_a_given_prior_is_checked(monkeypatch):
+    # The uniform prior the constructor builds is not caller input.
+    checked, check = [], families._check_simplex
+
+    def recording(points, shape, what):
+        checked.append(what)
+        check(points, shape, what)
+
+    monkeypatch.setattr(families, "_check_simplex", recording)
+    families.TestSet(np.full((3, 4), 0.25))
+    assert checked == ["Bell weights"]
+    families.TestSet(np.full((3, 4), 0.25), np.full(3, 1 / 3))
+    assert checked == ["Bell weights", "Bell weights", "prior weights"]
+
+
+def test_entangled_mask_at_the_floor_past_the_first_block():
+    # Two states one ulp apart in p_1, whose negativities 2 * (p_1 - 1/2)
+    # lie either side of NEGATIVITY_FLOOR, at the end of the second block.
+    floor = linalg.NEGATIVITY_FLOOR
+    hi = 0.5 + floor / 2.0
+    while 2.0 * (hi - 0.5) <= floor:
+        hi = np.nextafter(hi, 1.0)
+    while 2.0 * (np.nextafter(hi, 0.0) - 0.5) > floor:
+        hi = np.nextafter(hi, 0.0)
+    lo = np.nextafter(hi, 0.0)
+    draws = families.simplex_prior_bell_diagonal(families.BLOCK + 10, seed=3).bell_weights
+    ts = families.TestSet(np.vstack([draws, [[lo, 1.0 - lo, 0.0, 0.0], [hi, 1.0 - hi, 0.0, 0.0]]]))
+    assert ts.negativities[-2] <= floor < ts.negativities[-1]
+    assert ts.entangled[-2:].tolist() == [False, True]
+    assert np.array_equal(ts.entangled, ts.negativities > floor)
+    assert not ts.entangled.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -440,9 +480,9 @@ class TestLikelihoodKernel:
         # One appended state with w_3 != w_4 turns the merge off for the
         # whole array; the grid's values move by at most 1e-12 relative.
         grid = families.grid_prior_two_param(40, 40).bell_weights
-        merged = posterior.bell_log_likelihood(grid, record)
-        unmerged = posterior.bell_log_likelihood(np.vstack([grid, [[0.1, 0.2, 0.3, 0.4]]]),
-                                                 record)[:-1]
+        merged = posterior.log_likelihood_vector(families.TestSet(grid), record)
+        unmerged = posterior.log_likelihood_vector(
+            families.TestSet(np.vstack([grid, [[0.1, 0.2, 0.3, 0.4]]])), record)[:-1]
         np.testing.assert_array_equal(np.isneginf(merged), np.isneginf(unmerged))
         finite = np.isfinite(merged)
         np.testing.assert_allclose(merged[finite], unmerged[finite], rtol=1e-12, atol=0)
@@ -468,6 +508,35 @@ class TestLikelihoodKernel:
         explicit = sum(wi * rho for wi, rho in zip(w, states, strict=True))
         rho = posterior.mean_state(test_set, posterior.Posterior(weights=w))
         np.testing.assert_allclose(rho, explicit, rtol=0, atol=1e-12)
+
+
+class TestEqualColumns:
+    """The kernel's column merge, found once per test set."""
+
+    @pytest.mark.parametrize(
+        "build, merge",
+        [(lambda: families.grid_prior_two_param(7, 9), (0, 1, 2, 2)),
+         (lambda: families.simplex_prior_bell_diagonal(50, seed=4), (0, 1, 2, 3))],
+        ids=["two_param", "bell_diag"],
+    )
+    def test_merge_is_cached(self, build, merge):
+        ts = build()
+        assert ts.equal_columns == merge
+        assert ts.equal_columns is ts.equal_columns
+
+    def test_mismatch_past_the_first_block_is_not_merged(self):
+        # Columns 2 and 3 are equal in every state of the first block (the
+        # grid family's w_3 = w_4) and differ in one state of the second.
+        p = np.linspace(0.0, 1.0, families.BLOCK + 50)
+        weights = families.two_param_bell_weights(p, p / 2.0)
+        row = families.BLOCK + 17
+        weights[row] = [0.4, 0.3, 0.2, 0.1]
+        ts = families.TestSet(weights)
+        assert ts.equal_columns == (0, 1, 2, 3)
+        rec = measurement.simulate_record(families.reference_mixture("rho1"), 300, seed=2)
+        ll = posterior.log_likelihood_vector(ts, rec)
+        oracle = posterior.log_likelihood(rec, families.bell_diagonal_state(weights[row]))
+        assert abs(ll[row] - oracle) <= 1e-9
 
 
 class TestBlockBoundaries:
@@ -510,7 +579,8 @@ class TestBlockBoundaries:
         # Chunks of 1000 states each fit in one block; their concatenation
         # must equal the kernel on the whole set bit for bit.
         ll = posterior.log_likelihood_vector(test_set, record)
-        chunks = [posterior.bell_log_likelihood(test_set.bell_weights[i:i + 1000], record)
+        chunks = [posterior.log_likelihood_vector(
+                      families.TestSet(test_set.bell_weights[i:i + 1000]), record)
                   for i in range(0, test_set.n_states, 1000)]
         assert np.array_equal(ll, np.concatenate(chunks))
 
@@ -564,7 +634,8 @@ def test_kernel_matches_former_formula_on_readme_records(build, seed):
     # are equal on the simplex, so log L moves by rounding only.
     rec = measurement.simulate_record(families.two_param_state(0.4, 0.4), 400, seed=seed)
     weights = build().bell_weights
-    ll, former = posterior.bell_log_likelihood(weights, rec), clip_log1p_kernel(weights, rec)
+    ll = posterior.log_likelihood_vector(families.TestSet(weights), rec)
+    former = clip_log1p_kernel(weights, rec)
     np.testing.assert_array_equal(np.isneginf(ll), np.isneginf(former))
     finite = np.isfinite(former)
     np.testing.assert_allclose(ll[finite], former[finite], rtol=1e-12, atol=0)

@@ -197,10 +197,10 @@ class TestEntangledIndex:
     def test_indices_are_ascending_intp(self, prior_set):
         # An index of the entangled states, ascending intp as
         # ``np.flatnonzero`` lists it, is the same read from the labels or
-        # from the mask; the mask is cached and read-only, so no caller
-        # can move it between readouts.
+        # from the mask; the mask is built once with the test set and is
+        # read-only, so no caller can move it between readouts.
         mask = prior_set.entangled
-        assert prior_set.entangled is mask  # cached, not recomputed
+        assert prior_set.entangled is mask  # built once, not recomputed
         with pytest.raises(ValueError):
             mask[0] = not mask[0]
         _, labels = prior_set.negativity_bins(50)
@@ -365,9 +365,12 @@ class TestHistogram:
         weights = np.random.default_rng(3).dirichlet(np.ones(len(params)))
         ts = bell_diag_set(params, weights)
         # Exactly on the edges, free of rounding in p1; the array is read-only,
-        # so it is replaced, before the mask and labels are built.
+        # so it is replaced before the labels are built.  The entangled mask,
+        # built with the test set, holds for it: only the last state is below
+        # the floor in both.
         ts.negativities = np.append(negs, ts.negativities[-1])
         ent = ts.entangled
+        assert np.array_equal(ent, ts.negativities > linalg.NEGATIVITY_FLOOR)
         hist = posterior.histogram_negativity(ts, weights, n_bins)
         assert np.array_equal(hist.bin_edges, edges)
         expected, _ = np.histogram(ts.negativities[ent], bins=edges, weights=weights[ent])
@@ -489,9 +492,10 @@ class TestAllocationPeak:
     def test_simplex_prior_build(self, traced):
         ts = families.simplex_prior_bell_diagonal(self.N, seed=0)
         held, peak = tracemalloc.get_traced_memory()
-        # Bell weights 32 B, negativity and purity 8 B each per state; the
-        # uniform prior is a stride-0 view and holds no buffer.
-        assert held >= 48 * self.N
+        # Bell weights 32 B, negativity and purity 8 B each and the entangled
+        # mask 1 B per state; the uniform prior is a stride-0 view and holds
+        # no buffer.
+        assert held >= 49 * self.N
         assert peak <= 48 * self.N + self.SCRATCH
         assert ts.n_states == self.N
 
@@ -508,9 +512,9 @@ class TestAllocationPeak:
 
     @pytest.fixture(params=["simplex", "all_entangled"])
     def first_call(self, request, traced):
-        """A new test set and a posterior on it, before its mask or labels are
-        built: the uniform simplex prior (about half its states entangled) or
-        one whose every state is entangled."""
+        """A new test set and a posterior on it, before its labels are built:
+        the uniform simplex prior (about half its states entangled) or one
+        whose every state is entangled."""
         if request.param == "simplex":
             ts = families.simplex_prior_bell_diagonal(self.N, seed=0)
         else:
@@ -525,10 +529,10 @@ class TestAllocationPeak:
         before = tracemalloc.get_traced_memory()[0]
         posterior.summarize(ts, post)
         held, peak = tracemalloc.get_traced_memory()
-        # It keeps the entangled mask, 1 B per state, and sums through it
-        # with no n-sized gather or cast.
-        assert held - before <= self.N + 4096
-        assert peak - before <= self.N + self.READOUT_SCRATCH
+        # The entangled mask was built with the test set; summarize keeps
+        # nothing and sums through the mask with no n-sized gather or cast.
+        assert held - before <= 4096
+        assert peak - before <= self.READOUT_SCRATCH
 
     def test_histogram_negativity_first_call(self, first_call):
         ts, post = first_call
@@ -536,7 +540,7 @@ class TestAllocationPeak:
         before = tracemalloc.get_traced_memory()[0]
         posterior.histogram_negativity(ts, post.weights, 50)
         held, peak = tracemalloc.get_traced_memory()
-        # It keeps the entangled mask and the labels, 1 B per state each.
-        assert held - before <= 2 * self.N + 4096
+        # It keeps the labels, 1 B per state.
+        assert held - before <= self.N + 4096
         # Beyond them, one block of the label build or of the bincount.
-        assert peak - before <= 2 * self.N + self.READOUT_SCRATCH
+        assert peak - before <= self.N + self.READOUT_SCRATCH
