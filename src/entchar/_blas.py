@@ -5,6 +5,9 @@ the first of ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and
 ``OMP_NUM_THREADS`` that is set, else from the CPU count.  numpy and
 scipy.special each load their own OpenBLAS.  entchar's readouts are
 ``np.einsum`` sums, not BLAS calls, so a pool only costs start-up time.
+entchar's own worker thread, which runs half of each blocked per-state
+pass (``families.in_parts``), is not OpenBLAS's: it starts on first use,
+not at import, and no thread count changes a result.
 This module imports nothing but ``os`` so that it can act before numpy
 loads.
 """

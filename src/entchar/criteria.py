@@ -86,10 +86,13 @@ def fit_bell_diagonal(freq: FrequencyTable):
     """Maximum-likelihood Bell-diagonal weights.
 
     Returns (weights, closed_form).  The closed form inverts the observed
-    same-outcome fractions of the XX, YY and ZZ settings.  When it leaves
-    the simplex, the maximum lies on a face p_m = 0: ``_face_maxima`` finds
-    the maximum on each of the four faces, by one bisection in Python
-    floats that raises no float error; the likelihood picks the best, and
+    same-outcome fractions of the XX, YY and ZZ settings; weights down to
+    -1e-12 are clipped to 0.  When it leaves the simplex, or its weights
+    give an observed outcome probability 0 (as when a fraction rounds to 0
+    or 1 though both kinds of outcome were seen, or a weight was clipped),
+    the maximum lies on a face p_m = 0: ``_face_maxima`` finds the maximum
+    on each of the four faces, by one bisection in Python floats that
+    raises no float error; the likelihood picks the best, and
     ``closed_form`` is False.  The likelihood is concave, so that face
     maximum is the global one.
     """
@@ -105,7 +108,12 @@ def fit_bell_diagonal(freq: FrequencyTable):
     )
     if p.min() >= -1e-12:
         p = np.clip(p, 0.0, None)
-        return p / p.sum(), True
+        p /= p.sum()
+        same_p = p @ posterior.SAME_OUTCOME_MAP  # XX, YY and ZZ same-outcome probabilities
+        diff_p = p @ (1.0 - posterior.SAME_OUTCOME_MAP)
+        impossible = ((same > 0) & (same_p == 0.0)) | ((diff > 0) & (diff_p == 0.0))
+        if not impossible.any():
+            return p, True
     faces = _face_maxima(same, diff)
     return faces[np.argmax(posterior.log_likelihood_vector(families.TestSet(faces), freq))], False
 

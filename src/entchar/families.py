@@ -24,8 +24,8 @@ Elementwise passes over strided columns are cheap enough that the simplex
 builder reads a block's (m, 3) draws in place rather than copy them into
 columns first.  Every function still accepts any (n, 4) layout.
 
-Block rule: five per-state passes run in blocks of ``BLOCK`` states
-(``blocks``), because their whole-array forms would hold n-sized
+Block rule: six per-state passes run in blocks of ``BLOCK`` states
+(``blocks``).  Five do because their whole-array forms would hold n-sized
 temporaries beside their results.  Measured alone at 10^6 states on a
 2-vCPU Xeon (peak traced memory, blocked against whole-array): the
 simplex builder's draws and sort, 34 against 96 MB and about three times
@@ -36,15 +36,27 @@ against 24 MB and 1.8 times faster; the posterior module's
 log-likelihood kernel, 8 against 24 MB and about twice as fast; its
 histogram's ``np.bincount``, which casts the 1-byte labels to intp, 0.1
 against 8 MB at the same speed (its blocks grow to n_bins + 1 states
-when there are more bins than ``BLOCK``).  Each element goes through the
-same operations in the same order, so the values equal the one-shot
-formulas bit for bit.  Every other pass is whole-array: the posterior
-update works in place on the kernel's output with one boolean mask.
-Reductions stay whole-array (the maximum, the entangled probability and
-the posterior moments), except the histogram's masses, which add block
-sums in order and so differ from a whole-array sum only in rounding.
+when there are more bins than ``BLOCK``).  The sixth, the posterior
+update, works in place on the kernel's output and holds its 1 B/state
+keep mask per block.  Each element goes through the same operations in
+the same order, so the values equal the one-shot formulas bit for bit.
+
+The elementwise passes among them (the simplex builder, the ``TestSet``
+check and scalars, the kernel and the update) run in ``in_parts``: on a
+host with two usable CPUs, one contiguous half of the blocks on a worker
+thread, while numpy's loops and the generator let go of the GIL.  Each
+writes its own slices, so the split moves no bit.  Reductions stay on
+the calling thread, whole-array (the maximum, the entangled probability
+and the posterior moments) or in block order (the histogram's masses,
+which differ from a whole-array sum only in rounding), because split
+sums would add in another order.  ``TestSet.equal_columns``, which stops
+at the first mismatch, stays there too, and so does the label build of
+``negativity_bins``: split, it held both parts' intp index scratch at
+once, past the one block its allocation test allows.
 """
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
@@ -69,6 +81,52 @@ def blocks(n: int, size: int = BLOCK):
     """Slices covering range(n) in order, ``size`` states each; the last may be shorter."""
     for start in range(0, n, size):
         yield slice(start, min(start + size, n))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_pool = _pool_pid = None
+
+
+def in_parts(n: int, part) -> None:
+    """Run a blocked pass over range(n) as ``part(slices)`` on ``blocks(n)``,
+    split into two contiguous halves when the process may use two CPUs.
+
+    The calling thread runs the first half and one persistent worker thread
+    the second; with one usable CPU or one block, ``part`` gets every block
+    on the calling thread and no thread is started.  The worker is started
+    on first use, and again in a forked child, whose copy of the pool has
+    no running thread; it lives as long as the process, so on Python 3.12
+    and later each ``os.fork()`` after the first split pass warns that the
+    process has threads.  The call returns, or raises the first half's
+    exception if it has one, else the second's, only once both halves have
+    ended.  ``part`` must write disjoint slices of its outputs, reduce
+    nothing across blocks and call no public function of entchar: the
+    calling thread builds the slices, so a tracer that wraps the public
+    functions sees every call on one thread.
+    """
+    global _pool, _pool_pid
+    slices = list(blocks(n))
+    half = len(slices) // 2
+    if half == 0 or _usable_cpus() < 2:
+        part(slices)
+        return
+    if _pool is None or _pool_pid != os.getpid():
+        _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="entchar-blocks")
+        _pool_pid = os.getpid()
+    second = _pool.submit(part, slices[half:])
+    try:
+        part(slices[:half])
+    finally:
+        failed = second.exception()
+    if failed is not None:
+        raise failed
+
 
 #: Bell basis vectors |Phi_1>..|Phi_4| in the |00>,|01>,|10>,|11> basis.
 BELL_VECTORS = np.array(
@@ -244,13 +302,17 @@ class TestSet:
             raise ConfigError(f"Bell weights must be an (n >= 1, 4) array, got shape {weights.shape}")
         n = len(weights)
         negativities, purities, entangled = np.empty(n), np.empty(n), np.empty(n, bool)
-        for sl in blocks(n):
-            w = weights[sl]
-            _check_simplex(w, (len(w), 4), "Bell weights")
-            top = np.maximum(np.maximum(w[:, 0], w[:, 1]), np.maximum(w[:, 2], w[:, 3]))
-            np.multiply(2.0, np.maximum(0.0, top - 0.5), out=negativities[sl])
-            np.add((w[:, 0] ** 2 + w[:, 1] ** 2) + w[:, 2] ** 2, w[:, 3] ** 2, out=purities[sl])
-            np.greater(negativities[sl], NEGATIVITY_FLOOR, out=entangled[sl])
+
+        def derive(slices):
+            for sl in slices:
+                w = weights[sl]
+                _check_simplex(w, (len(w), 4), "Bell weights")
+                top = np.maximum(np.maximum(w[:, 0], w[:, 1]), np.maximum(w[:, 2], w[:, 3]))
+                np.multiply(2.0, np.maximum(0.0, top - 0.5), out=negativities[sl])
+                np.add((w[:, 0] ** 2 + w[:, 1] ** 2) + w[:, 2] ** 2, w[:, 3] ** 2, out=purities[sl])
+                np.greater(negativities[sl], NEGATIVITY_FLOOR, out=entangled[sl])
+
+        in_parts(n, derive)
         for scalars in (negativities, purities, entangled):
             scalars.flags.writeable = False
         self.negativities, self.purities, self.entangled = negativities, purities, entangled
@@ -320,24 +382,33 @@ def simplex_prior_bell_diagonal(n: int, seed: int) -> TestSet:
 
     Uses sorted-uniform spacings, which are exactly uniform on the simplex;
     deterministic for a given seed.  The (n, 3) uniforms are drawn block by
-    block, which continues one generator stream, so the draws equal one
-    ``rng.random((n, 3))``.  Each row of three is sorted by a min/max
-    compare-exchange network on the block's columns, and the four spacings
-    are written into a (4, n) buffer whose transpose is the Bell weights;
-    the values equal a row-wise ``np.sort`` and ``np.diff``.
+    block, in ``in_parts``: each part starts its own generator from the seed
+    and moves its PCG64 stream ahead past the three uniforms of each earlier
+    state, so the draws equal one ``rng.random((n, 3))``.  Each row of three
+    is sorted by a min/max compare-exchange network on the block's columns,
+    and the four spacings are written into a (4, n) buffer whose transpose
+    is the Bell weights; the values equal a row-wise ``np.sort`` and
+    ``np.diff``.
     """
     n = check_int(n, "sample count", 1, MAX_COUNT)
-    rng = np.random.default_rng(check_int(seed, "seed", 0))
+    seed = check_int(seed, "seed", 0)
     w = np.empty((4, n))
-    for sl in blocks(n):
-        u0, u1, u2 = rng.random((sl.stop - sl.start, 3)).T
-        # Compare-exchange (0, 1), (1, 2), (0, 1) leaves a <= b <= c.
-        a, b = np.minimum(u0, u1), np.maximum(u0, u1)
-        b, c = np.minimum(b, u2), np.maximum(b, u2)
-        a, b = np.minimum(a, b), np.maximum(a, b)
-        w[0, sl] = a
-        np.subtract(b, a, out=w[1, sl])
-        np.subtract(c, b, out=w[2, sl])
-        np.subtract(1.0, c, out=w[3, sl])
+
+    def draw(slices):
+        # PCG64 jumps ahead past the three uniforms of every earlier state.
+        rng = np.random.default_rng(seed)
+        rng.bit_generator.advance(3 * slices[0].start)
+        for sl in slices:
+            u0, u1, u2 = rng.random((sl.stop - sl.start, 3)).T
+            # Compare-exchange (0, 1), (1, 2), (0, 1) leaves a <= b <= c.
+            a, b = np.minimum(u0, u1), np.maximum(u0, u1)
+            b, c = np.minimum(b, u2), np.maximum(b, u2)
+            a, b = np.minimum(a, b), np.maximum(a, b)
+            w[0, sl] = a
+            np.subtract(b, a, out=w[1, sl])
+            np.subtract(c, b, out=w[2, sl])
+            np.subtract(1.0, c, out=w[3, sl])
+
+    in_parts(n, draw)
     return TestSet(w.T)
 

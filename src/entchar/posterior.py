@@ -122,12 +122,16 @@ def log_likelihood_vector(ts: TestSet, rec) -> np.ndarray:
             pair = tuple(sorted((first[i], first[k])))
             terms[pair] = terms.get(pair, 0) + n
     ll = np.zeros(ts.n_states)
-    with np.errstate(divide="ignore"):
-        for sl in families.blocks(ts.n_states):
-            acc = ll[sl]
-            for (i, k), n in terms.items():
-                acc += np.log(w[sl, i] + w[sl, k]) * n
-            acc += constant
+
+    def add_terms(slices):
+        with np.errstate(divide="ignore"):
+            for sl in slices:
+                acc = ll[sl]
+                for (i, k), n in terms.items():
+                    acc += np.log(w[sl, i] + w[sl, k]) * n
+                acc += constant
+
+    families.in_parts(ts.n_states, add_terms)
     return ll
 
 
@@ -147,17 +151,24 @@ def update_posterior(ts: TestSet, rec: measurement.MeasurementRecord) -> Posteri
     shift = w.max()
     if not np.isfinite(shift):
         raise DataError("every test state assigns zero probability to the record")
-    # Every step runs in place on the kernel's output; the one mask, 1 B
-    # per state, is the only temporary.
-    w -= shift
-    keep = w >= _LOG_TINY
-    # The clamp comes first: it turns -inf into a finite value, so that
-    # zeroing by ``keep`` never forms -inf * 0 = nan.
-    np.maximum(w, _LOG_TINY, out=w)
-    w *= keep
-    np.exp(w, out=w)
-    w *= keep
-    w *= ts.prior_weights
+    prior = ts.prior_weights
+
+    def weigh(slices):
+        # Every step runs in place on the kernel's output; a block's mask,
+        # 1 B per state, is the only temporary.
+        for sl in slices:
+            v = w[sl]
+            v -= shift
+            keep = v >= _LOG_TINY
+            # The clamp comes first: it turns -inf into a finite value, so
+            # that zeroing by ``keep`` never forms -inf * 0 = nan.
+            np.maximum(v, _LOG_TINY, out=v)
+            v *= keep
+            np.exp(v, out=v)
+            v *= keep
+            v *= prior[sl]
+
+    families.in_parts(ts.n_states, weigh)
     total = w.sum()
     if total <= 0.0:
         raise DataError("posterior mass vanished after the update")

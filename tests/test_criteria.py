@@ -402,6 +402,19 @@ class TestNesting:
             assert l_full >= l_bd - 1e-9
             assert l_bd >= l_tp - 1e-9
 
+    def test_clipped_closed_form_that_excludes_an_observed_outcome(self):
+        # ZZ's 2**53 + 1 shots round to 2**53 as a float, so the closed form
+        # reads ZZ's same fraction as 1 and gives p = (1, 0, 0, 0), under
+        # which ZZ's one different outcome has probability 0; the faces hold
+        # the maximum, which two_param must not beat.
+        rec = make_record([[5, 0, 0, 5], [1, 1, 1, 1], [1, 1, 1, 1], [0, 5, 5, 0],
+                           [2**53, 1, 0, 0]])
+        report = criteria.compare(rec)
+        l_full, l_bd, l_tp = (report.scores[m].log_l for m in ("full", "bell_diag", "two_param"))
+        assert report.closed_form["bell_diag"] is False
+        assert np.isfinite(l_bd)
+        assert l_full >= l_bd >= l_tp
+
 
 class TestCompare:
     def test_deltas_consistent_with_scores(self):
