@@ -9,10 +9,10 @@ Three models are compared on a five-setting correlation record:
   the true state's log-likelihood by about chi2_15 / 2 (7.5 nats on average).
 * "bell_diag": Bell-diagonal states (3 parameters).  These predict 1/4
   for every off-diagonal-setting outcome and symmetric splits within the
-  XX, YY and ZZ settings, so the fit has a closed form whenever the
-  implied simplex weights are non-negative.  Otherwise the maximum lies on
-  a face of the simplex, where one bisection per face in Python floats
-  finds it to the last bit (``_face_maxima``).
+  XX, YY and ZZ settings, so the fit is the closed form when the implied
+  simplex weights are all > 0.  Otherwise (a weight on a face or past it)
+  the maximum lies on a face of the simplex, where one bisection per face
+  in Python floats finds it to the last bit (``_face_maxima``).
 * "two_param": the white-noise + phase-noise family (2 parameters).  It
   is the Bell-diagonal family restricted to p3 = p4 with the additional
   constraint p1 - p2 <= p1 + p2 - 2*p3 (coherence cannot exceed the
@@ -86,15 +86,15 @@ def fit_bell_diagonal(freq: FrequencyTable):
     """Maximum-likelihood Bell-diagonal weights.
 
     Returns (weights, closed_form).  The closed form inverts the observed
-    same-outcome fractions of the XX, YY and ZZ settings; weights down to
-    -1e-12 are clipped to 0.  When it leaves the simplex, or its weights
-    give an observed outcome probability 0 (as when a fraction rounds to 0
-    or 1 though both kinds of outcome were seen, or a weight was clipped),
-    the maximum lies on a face p_m = 0: ``_face_maxima`` finds the maximum
-    on each of the four faces, by one bisection in Python floats that
-    raises no float error; the likelihood picks the best, and
-    ``closed_form`` is False.  The likelihood is concave, so that face
-    maximum is the global one.
+    same-outcome fractions of the XX, YY and ZZ settings.  When all four
+    weights it gives are > 0, every outcome probability (w_a + w_b)/2 is
+    positive, and the weights, normalized, are the answer with
+    ``closed_form`` True.  Otherwise the maximum lies on a face p_m = 0 (an
+    exact 0 from the counts, or a rounding past it, included):
+    ``_face_maxima`` finds the maximum on each of the four faces, by one
+    bisection in Python floats that raises no float error; the likelihood
+    picks the best, and ``closed_form`` is False.  The likelihood is
+    concave, so that face maximum is the global one.
     """
     same, diff = posterior.same_different_counts(freq)
     s_xx, s_yy, s_zz = same / (same + diff)
@@ -106,14 +106,8 @@ def fit_bell_diagonal(freq: FrequencyTable):
             1.0 - (s_xx + s_yy + s_zz) / 2.0,
         ]
     )
-    if p.min() >= -1e-12:
-        p = np.clip(p, 0.0, None)
-        p /= p.sum()
-        same_p = p @ posterior.SAME_OUTCOME_MAP  # XX, YY and ZZ same-outcome probabilities
-        diff_p = p @ (1.0 - posterior.SAME_OUTCOME_MAP)
-        impossible = ((same > 0) & (same_p == 0.0)) | ((diff > 0) & (diff_p == 0.0))
-        if not impossible.any():
-            return p, True
+    if p.min() > 0.0:
+        return p / p.sum(), True
     faces = _face_maxima(same, diff)
     return faces[np.argmax(posterior.log_likelihood_vector(families.TestSet(faces), freq))], False
 
@@ -176,16 +170,24 @@ def fit_two_param(freq: FrequencyTable):
     b = p face, which pools all three settings and is itself closed-form.
     ``closed_form`` is True for the unconstrained case only, where a b
     past p by rounding (1e-15) is taken as p, so no Bell weight is < 0.
+    Each estimate is below 1 when an outcome of probability (1-p)/2 or
+    (1-b)/2 was seen (``_correlation``), so no observed outcome gets
+    probability 0.
     """
     (s_xx, s_yy, s_zz), (d_xx, d_yy, d_zz) = posterior.same_different_counts(freq)
     up, down = s_xx + d_yy, d_xx + s_yy
-    p_un = float(np.clip((s_zz - d_zz) / (s_zz + d_zz), 0.0, 1.0))
-    b_un = float(np.clip((up - down) / (up + down), 0.0, 1.0))
+    p_un, b_un = _correlation(s_zz, d_zz), _correlation(up, down)
     if b_un <= p_un + 1e-15:
         return p_un, min(b_un, p_un), True
-    up, down = up + s_zz, down + d_zz
-    shared = float(np.clip((up - down) / (up + down), 0.0, 1.0))
+    shared = _correlation(up + s_zz, down + d_zz)
     return shared, shared, False
+
+
+def _correlation(up, down) -> float:
+    """(up - down) / (up + down) clipped to [0, 1]; where it rounds to 1 though
+    down > 0, the largest float below 1."""
+    c = float(np.clip((up - down) / (up + down), 0.0, 1.0))
+    return math.nextafter(1.0, 0.0) if c == 1.0 and down > 0 else c
 
 
 def _log_l(weights, rec: MeasurementRecord) -> float:
@@ -200,7 +202,7 @@ def score(log_l: float, k: int, n_m: int) -> ModelScore:
         log_l=log_l,
         k=k,
         omega_aic=log_l - k,
-        omega_bic=float(log_l - k * np.log(n_m) / 2.0),
+        omega_bic=float(log_l - k * np.log(float(n_m)) / 2.0),
         n_m=n_m,
     )
 

@@ -16,6 +16,8 @@ The message says which argument or which part of the record is at fault.
 
 import numbers
 
+import numpy as np
+
 
 class EntcharError(Exception):
     """Base class for all entchar errors."""
@@ -46,3 +48,16 @@ def check_real(value, what: str) -> float:
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         return float(value)
     raise ConfigError(f"{what} must be a real number, got {value!r}")
+
+
+def check_real_array(value, what: str) -> np.ndarray:
+    """``value`` as a float ndarray; ConfigError unless numpy reads it as an
+    array of integers or reals: not complex numbers, bools, text, objects
+    or ragged rows.  A float64 array is returned as it is, not copied."""
+    try:
+        array = np.asarray(value)
+    except (TypeError, ValueError) as exc:  # ragged rows
+        raise ConfigError(f"{what} must be an array of real numbers: {exc}") from None
+    if array.dtype.kind not in "iuf":
+        raise ConfigError(f"{what} must be an array of real numbers, got dtype {array.dtype}")
+    return array.astype(float, copy=False)

@@ -63,7 +63,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from ._blas import one_blas_thread
-from .errors import ConfigError, check_int, check_real
+from .errors import ConfigError, check_int, check_real, check_real_array
 from .linalg import NEGATIVITY_FLOOR
 
 _SQRT2 = np.sqrt(2.0)
@@ -223,7 +223,7 @@ def _check_simplex(points: np.ndarray, shape: tuple, what: str) -> None:
 
 def bell_diagonal_state(pvec) -> np.ndarray:
     """Mixture of the four Bell projectors with weights pvec."""
-    pvec = np.asarray(pvec, dtype=float)
+    pvec = check_real_array(pvec, "Bell weights")
     _check_simplex(pvec, (4,), "Bell weights")
     rho = np.zeros((4, 4), dtype=complex)
     for w, v in zip(pvec, BELL_VECTORS):
@@ -265,8 +265,9 @@ def reference_mixture(which: str) -> np.ndarray:
 class TestSet:
     """Finite prior over candidate states, each given by its four Bell weights.
 
-    ``bell_weights`` is a float (n, 4) array, one state per row; every row
-    must be non-negative and sum to 1 within 1e-12, so NaN and inf fail.
+    ``bell_weights`` is an (n, 4) array of real numbers, one state per row,
+    stored as float (``errors.check_real_array``); every row must be
+    non-negative and sum to 1 within 1e-12, so NaN and inf fail.
     The builders make it column-contiguous (the transpose view of a (4, n)
     buffer), so the likelihood kernel streams each weight as one contiguous
     vector; a row-major array gives the same results, slower.  The pass
@@ -297,7 +298,7 @@ class TestSet:
     _bins: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        weights = self.bell_weights = np.asarray(self.bell_weights, dtype=float)
+        weights = self.bell_weights = check_real_array(self.bell_weights, "Bell weights")
         if weights.ndim != 2 or len(weights) < 1:
             raise ConfigError(f"Bell weights must be an (n >= 1, 4) array, got shape {weights.shape}")
         n = len(weights)
@@ -319,7 +320,7 @@ class TestSet:
         if self.prior_weights is None:
             self.prior_weights = np.broadcast_to(1.0 / n, (n,))
         else:
-            self.prior_weights = np.asarray(self.prior_weights, dtype=float)
+            self.prior_weights = check_real_array(self.prior_weights, "prior weights")
             _check_simplex(self.prior_weights, (n,), "prior weights")
 
     @property

@@ -32,7 +32,8 @@ class MeasurementRecord:
     pair of int spin axes in 1..3, and one row of 4 counts per setting
     (ordered per OUTCOME_SIGNS), each finite and >= 0, else DataError;
     expected counts may be fractional.  Integer counts must total at most
-    int64 max, so that no sum over them wraps.
+    int64 max, and float counts to a finite float, so that no sum over them
+    wraps or overflows.
     """
 
     settings: tuple
@@ -56,6 +57,9 @@ class MeasurementRecord:
         # Python ints: a numpy sum of int64 or uint64 counts would wrap.
         if counts.dtype.kind in "iu" and sum(counts.ravel().tolist()) > _INT64_MAX:
             raise DataError(f"outcome counts sum past the int64 limit {_INT64_MAX}")
+        with np.errstate(over="ignore"):  # a float total past float64 max is inf
+            if counts.dtype.kind == "f" and not np.isfinite(counts.sum()):
+                raise DataError("outcome counts sum past the float64 limit")
 
     @property
     def n_total(self) -> int:

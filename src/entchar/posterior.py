@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import families, linalg, measurement
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_real_array
 from .families import TestSet
 
 _LOG_2 = np.log(2.0)
@@ -178,8 +178,9 @@ def update_posterior(ts: TestSet, rec: measurement.MeasurementRecord) -> Posteri
 
 def _readout_weights(ts: TestSet, weights) -> np.ndarray:
     """The weights a readout sums, as a float array of shape (n,) for the
-    test set's n states; ConfigError for any other shape."""
-    w = np.asarray(weights, dtype=float)
+    test set's n states; ConfigError for any other shape or for values that
+    are not real numbers (``errors.check_real_array``)."""
+    w = check_real_array(weights, "weights")
     if w.shape != (ts.n_states,):
         raise ConfigError(f"weights must have shape ({ts.n_states},), got {w.shape}")
     return w

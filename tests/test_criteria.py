@@ -243,6 +243,18 @@ class TestFitBellDiagonal:
         random_points = np.random.default_rng(3).dirichlet(np.ones(4), 200_000)
         assert ll >= posterior.log_likelihood_vector(families.TestSet(random_points), rec).max()
 
+    def test_closed_form_with_a_zero_weight_is_left_to_the_faces(self):
+        # Same-outcome fractions 1/4, 3/4 and 1/2 invert to (0, 1/2, 1/4, 1/4)
+        # exactly; only weights all > 0 are taken as the closed form, so the
+        # face p_1 = 0 finds the same point.
+        rec = make_record([[1, 3, 3, 1], [1] * 4, [1] * 4, [3, 1, 1, 3], [2] * 4])
+        p, closed = criteria.fit_bell_diagonal(measurement.frequencies(rec))
+        assert not closed
+        np.testing.assert_allclose(p, [0.0, 0.5, 0.25, 0.25], rtol=0, atol=1e-15)
+        report = criteria.compare(rec)
+        assert report.closed_form["bell_diag"] is False
+        assert report.scores["bell_diag"].log_l == -42.2684269807783
+
     @pytest.mark.parametrize("rec", FALLBACK_RECORDS.values(), ids=FALLBACK_RECORDS.keys())
     def test_fallback_satisfies_kkt(self, rec):
         # At a maximum over the simplex the gradient is equal on every
@@ -345,6 +357,27 @@ class TestFitTwoParam:
         assert families.two_param_bell_weights(p, b).min() >= 0.0
         assert criteria.compare(rec).closed_form["two_param"]
 
+    @pytest.mark.parametrize("counts", [
+        [[5, 0, 0, 5], [1] * 4, [1] * 4, [0, 5, 5, 0], [2**54, 1, 0, 0]],
+        [[5, 0, 0, 5], [1] * 4, [1] * 4, [0, 5, 5, 0], [2**55, 1, 0, 0]],
+        [[5, 0, 0, 5], [1] * 4, [1] * 4, [0, 5, 5, 0], [2**60, 0, 1, 2**60]],
+        [[2**55, 1, 0, 0], [1] * 4, [1] * 4, [0, 5, 5, 0], [5, 0, 0, 5]],
+    ], ids=["zz-2**54", "zz-2**55", "zz-2**60", "xx-2**55"])
+    def test_estimate_rounding_to_one_keeps_the_observed_outcomes_possible(self, counts):
+        # One ZZ (or XX) different outcome is too few for a float p (or b)
+        # to resolve: (s - d)/(s + d) rounds to 1, where (1 - p)/2 = 0 (or
+        # (1 - b)/2 = 0).  The fit takes the largest float below 1 instead,
+        # so log L is finite and, to the rounding of sums near 1e16, no
+        # higher than the Bell-diagonal fit's.
+        rec = make_record(counts)
+        p, b, closed = criteria.fit_two_param(measurement.frequencies(rec))
+        assert closed and b == np.nextafter(1.0, 0.0) and p >= b
+        report = criteria.compare(rec)
+        l_full, l_bd, l_tp = (report.scores[m].log_l for m in ("full", "bell_diag", "two_param"))
+        assert np.isfinite(l_tp)
+        rounding = 1e-14 * abs(l_tp)  # as in tests/test_fit_properties.py
+        assert l_full >= l_bd - rounding and l_bd >= l_tp - rounding
+
     def test_log_l_matches_state_likelihood(self):
         for seed in range(5):
             rec = measurement.simulate_record(families.two_param_state(0.5, 0.7), 400, seed=seed)
@@ -371,6 +404,17 @@ class TestScore:
         s = criteria.score(-100.0, 3, 5000)
         assert s.omega_aic == pytest.approx(-103.0)
         assert s.omega_bic == pytest.approx(-100.0 - 3 * LN(5000) / 2)
+
+    def test_shot_total_past_int64(self):
+        # Expected counts of 1e19 shots per setting total 5e19 > int64 max;
+        # the log of that Python int is taken as a float, as for smaller ones.
+        rec = exact_record(families.two_param_state(0.4, 0.4), 1e19)
+        report = criteria.compare(rec)
+        assert {s.n_m for s in report.scores.values()} == {5 * 10**19}
+        for s in report.scores.values():
+            assert s.omega_bic == s.log_l - s.k * np.log(5e19) / 2.0
+        top = np.iinfo(np.int64).max
+        assert criteria.score(0.0, 2, top).omega_bic == -np.log(np.int64(top))
 
     def test_invalid_counts(self):
         with pytest.raises(ConfigError):

@@ -27,6 +27,18 @@ def grid_node_states(n_p, n_sigma):
             for p in np.linspace(0.0, 1.0, n_p) for s in np.linspace(0.0, np.pi, n_sigma)]
 
 
+#: Weight vectors that numpy reads, or fails to read, as something other than
+#: real numbers.  Complex weights used to lose their imaginary part with only
+#: a ComplexWarning, and text or ragged input raised numpy's ValueError.
+NOT_REAL = {
+    "complex": np.array([0.5 + 0.3j, 0.5, 0.0, 0.0]),
+    "text": ["0.25", "0.25", "0.25", "0.25"],
+    "ragged": [0.5, [0.25, 0.25], 0.0, 0.0],
+    "bool": np.array([True, False, False, False]),
+    "object": np.array([0.25] * 4, dtype=object),
+}
+
+
 class TestBellStates:
     def test_all_pure_and_maximally_entangled(self):
         for i in (1, 2, 3, 4):
@@ -141,8 +153,8 @@ class TestBellDiagonal:
     @pytest.mark.parametrize(
         "pvec",
         [[np.nan, 0.5, 0.5, 0.0], [np.inf, 0.0, 0.0, 0.0],
-         [0.5, 0.25, 0.25], [[0.25] * 4] * 2],
-        ids=["nan", "inf", "three", "two_rows"],
+         [0.5, 0.25, 0.25], [[0.25] * 4] * 2, *NOT_REAL.values()],
+        ids=["nan", "inf", "three", "two_rows", *NOT_REAL],
     )
     def test_malformed_simplex_point(self, pvec):
         with pytest.raises(ConfigError, match="weights"):
@@ -387,14 +399,21 @@ def test_prior_of_wrong_shape_is_refused(prior):
      np.full((2, 4), 0.3),
      np.full(5, 0.2),
      np.full((2, 3), 1 / 3),
-     np.empty((0, 4))],
-    ids=["negative", "nan_row", "inf", "row_sum", "1d", "three_columns", "empty"],
+     np.empty((0, 4)),
+     *[[w, w] for w in NOT_REAL.values()]],
+    ids=["negative", "nan_row", "inf", "row_sum", "1d", "three_columns", "empty", *NOT_REAL],
 )
 def test_invalid_bell_weights_are_refused(weights):
     # The first would have negativity 0.8 and purity 1.88; a NaN row would
     # surface only as "every test state assigns zero probability".
     with pytest.raises(ConfigError, match="Bell weights"):
         families.TestSet(weights)
+
+
+@pytest.mark.parametrize("prior", NOT_REAL.values(), ids=NOT_REAL.keys())
+def test_prior_that_is_not_real_numbers_is_refused(prior):
+    with pytest.raises(ConfigError, match="prior weights must be an array of real numbers"):
+        families.TestSet(np.full((4, 4), 0.25), prior_weights=prior)
 
 
 @pytest.mark.parametrize(

@@ -211,6 +211,7 @@ class TestRecordRule:
             np.full((5, 4), 2**61),
             np.full((5, 4), 2**63, dtype=np.uint64),
             np.array([[np.iinfo(np.int64).max, 1, 0, 0]] + [[0, 0, 0, 0]] * 4),
+            np.full((5, 4), 1e308),
         ]],
         (((7, 1),), [[1, 1, 1, 1]]),
         (((0, 1),), [[1, 1, 1, 1]]),
@@ -220,7 +221,8 @@ class TestRecordRule:
         (((1, 2, 3),), [[1, 1, 1, 1]]),
         ((1, 2, 3, 4, 5), np.ones((5, 4), dtype=int)),
     ], ids=["negative", "rows_of_3", "too_few_rows", "ragged", "nan", "inf", "bool", "text",
-            "int64_total_wraps", "uint64_total", "total_one_past_int64", "axis_7", "axis_0",
+            "int64_total_wraps", "uint64_total", "total_one_past_int64",
+            "float_total_overflows", "axis_7", "axis_0",
             "bool_axis", "float_axis", "text_setting", "three_axes", "int_settings"])
     def test_rejects(self, settings, counts):
         with pytest.raises(DataError):

@@ -441,7 +441,7 @@ class TestMeanState:
 class TestReadoutWeights:
     """``summarize``, ``histogram_negativity`` and ``mean_state`` share one
     weight rule: weights are read as a float array of shape (n,), and any
-    other shape is a ConfigError."""
+    other shape, or values that are not real numbers, is a ConfigError."""
 
     READOUTS = ["summarize", "histogram_negativity", "mean_state"]
 
@@ -469,6 +469,16 @@ class TestReadoutWeights:
     def test_other_shapes_are_refused(self, ts, readout, shape):
         with pytest.raises(ConfigError, match=r"weights must have shape \(2,\)"):
             self.read(readout, ts, np.full(shape, 0.5))
+
+    @pytest.mark.parametrize("weights", [np.array([0.75 + 0.5j, 0.25]), ["0.75", "0.25"],
+                                         [0.75, [0.25]], np.array([True, False]),
+                                         np.array([0.75, 0.25], dtype=object)],
+                             ids=["complex", "text", "ragged", "bool", "object"])
+    @pytest.mark.parametrize("readout", READOUTS)
+    def test_values_that_are_not_real_numbers_are_refused(self, ts, readout, weights):
+        # Complex weights used to lose their imaginary part with only a ComplexWarning.
+        with pytest.raises(ConfigError, match="weights must be an array of real numbers"):
+            self.read(readout, ts, weights)
 
 
 class TestAllocationPeak:
