@@ -123,6 +123,11 @@ _PARTNER = np.array(
 )
 
 
+#: Counts past 2**500 are bisected scaled by 2**-520, so n <= 2**504 and
+#: d * d + 4ab <= 5 n**2 stays finite; any shot count of 1 scales to a normal float.
+_SCALE_ABOVE, _SCALE = 2.0**500, 2.0**-520
+
+
 def _face_maxima(same: np.ndarray, diff: np.ndarray) -> np.ndarray:
     """Maximum-likelihood Bell weights on each face p_m = 0, as rows (4, 4).
 
@@ -135,10 +140,16 @@ def _face_maxima(same: np.ndarray, diff: np.ndarray) -> np.ndarray:
     at lam = n every q_j <= a_j/lam, so sum_j q_j <= 1.  Of the root's two
     forms, each free of cancellation on its side of t = lam + a + b = 0,
     only the one that applies is evaluated; every setting has shots, so
-    lam < 0 on the second and no float error arises.
+    lam < 0 on the second and no float error arises.  Past ``_SCALE_ABOVE``
+    shots, where d * d and 4ab could overflow, the counts are scaled by the
+    power of two ``_SCALE``: q is unchanged when a, b and lam scale
+    together, and a power of two rounds nothing, so the bisection takes the
+    same steps unless a product of two small scaled counts underflows.
     """
     counts = [(float(s), float(d)) for s, d in zip(same, diff)]
     n = float(same.sum() + diff.sum())
+    if n > _SCALE_ABOVE:
+        counts, n = [(s * _SCALE, d * _SCALE) for s, d in counts], n * _SCALE
     weights = np.zeros((4, 4))
     for m in range(4):
         pairs = [(s, d) if _SAME[m, j] else (d, s) for j, (s, d) in enumerate(counts)]

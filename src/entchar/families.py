@@ -25,37 +25,42 @@ builder reads a block's (m, 3) draws in place rather than copy them into
 columns first.  Every function still accepts any (n, 4) layout.
 
 Block rule: six per-state passes run in blocks of ``BLOCK`` states
-(``blocks``).  Five do because their whole-array forms would hold n-sized
-temporaries beside their results.  Measured alone at 10^6 states on a
-2-vCPU Xeon (peak traced memory, blocked against whole-array): the
+(``blocks``).  Five do because their whole-array forms would hold
+n-sized temporaries beside their results.  Measured alone at 10^6 states
+on a 2-vCPU Xeon (peak traced memory, blocked against whole-array): the
 simplex builder's draws and sort, 34 against 96 MB and about three times
 faster; the Bell-weight check and scalars in ``TestSet`` (which also
 write the entangled mask), 16 against 32 MB and about twice as fast; the
 histogram labels of ``TestSet.negativity_bins`` over all states, 1.4
-against 24 MB and 1.8 times faster; the posterior module's
-log-likelihood kernel, 8 against 24 MB and about twice as fast; its
-histogram's ``np.bincount``, which casts the 1-byte labels to intp, 0.1
-against 8 MB at the same speed (its blocks grow to n_bins + 1 states
-when there are more bins than ``BLOCK``).  The sixth, the posterior
-update, works in place on the kernel's output and holds its 1 B/state
-keep mask per block.  Each element goes through the same operations in
-the same order, so the values equal the one-shot formulas bit for bit.
+against 24 MB and 1.8 times faster (in half blocks, so that two threads'
+float, index, step and flag scratch stay within two block vectors); the
+posterior module's log-likelihood kernel, 8 against 24 MB and about
+twice as fast; its histogram's ``np.bincount``, which casts the 1-byte
+labels to intp, 0.1 against 8 MB at the same speed (its blocks grow to
+n_bins + 1 states when there are more bins than ``BLOCK``).  The sixth,
+the posterior update, works in place on the kernel's output and holds
+its keep mask, 9 B/state as bool and float, per block.  Each element goes through the same
+operations in the same order, so the values equal the one-shot formulas
+bit for bit.
 
 The elementwise passes among them (the simplex builder, the ``TestSet``
-check and scalars, the kernel and the update) run in ``in_parts``: on a
-host with two usable CPUs, one contiguous half of the blocks on a worker
-thread, while numpy's loops and the generator let go of the GIL.  Each
+check and scalars, the histogram labels, the kernel and the update) run
+in ``in_parts``: on a host with two usable CPUs, the calling thread and
+one worker thread take the blocks one at a time from a shared hand-out,
+while numpy's loops and the generator let go of the GIL.  Each block's
+temporaries go into scratch that the calling thread made for the thread
+that runs it, so the worker allocates no block-sized array, and the
+malloc arena glibc gives it keeps nothing of that size.  Each block
 writes its own slices, so the split moves no bit.  Reductions stay on
 the calling thread, whole-array (the maximum, the entangled probability
 and the posterior moments) or in block order (the histogram's masses,
 which differ from a whole-array sum only in rounding), because split
 sums would add in another order.  ``TestSet.equal_columns``, which stops
-at the first mismatch, stays there too, and so does the label build of
-``negativity_bins``: split, it held both parts' intp index scratch at
-once, past the one block its allocation test allows.
+at the first mismatch, stays there too.
 """
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -93,39 +98,80 @@ def _usable_cpus() -> int:
 _pool = _pool_pid = None
 
 
-def in_parts(n: int, part) -> None:
-    """Run a blocked pass over range(n) as ``part(slices)`` on ``blocks(n)``,
-    split into two contiguous halves when the process may use two CPUs.
+def _call_each(calls: list) -> None:
+    for call in calls:
+        call()
 
-    The calling thread runs the first half and one persistent worker thread
-    the second; with one usable CPU or one block, ``part`` gets every block
-    on the calling thread and no thread is started.  The worker is started
-    on first use, and again in a forked child, whose copy of the pool has
-    no running thread; it lives as long as the process, so on Python 3.12
-    and later each ``os.fork()`` after the first split pass warns that the
-    process has threads.  The call returns, or raises the first half's
-    exception if it has one, else the second's, only once both halves have
-    ended.  ``part`` must write disjoint slices of its outputs, reduce
-    nothing across blocks and call no public function of entchar: the
-    calling thread builds the slices, so a tracer that wraps the public
-    functions sees every call on one thread.
+
+def in_parts(n: int, part, scratch, size: int = BLOCK) -> None:
+    """Run a blocked pass over range(n): ``part(sl, own)`` for each slice
+    ``sl`` of ``blocks(n, size)``, on two threads when the process may use
+    two CPUs.
+
+    Scratch rule: before the pass the calling thread makes one set of
+    scratch per thread, ``own = scratch(min(n, size))``, and ``part``
+    writes every temporary of its block into its thread's ``own`` with
+    ``out=``.  So the worker thread allocates no block-sized array, and the
+    malloc arena glibc gives it keeps nothing of that size.
+
+    The calling thread and one persistent worker thread take the blocks one
+    at a time, in order, from a shared hand-out, so a delayed worker leaves
+    the remaining blocks to the calling thread, which at the end waits at
+    most for the worker's current block.  With one usable CPU or one block,
+    every block runs on the calling thread and no thread is started.  The
+    worker is started on first use, and again in a forked child, whose copy
+    of the pool has no running thread; it lives as long as the process, so
+    on Python 3.12 and later each ``os.fork()`` after the first split pass
+    warns that the process has threads.
+
+    Exception rule: once a block raises, no further block is handed out,
+    and the call raises the exception of the lowest-numbered failing block
+    once both threads have stopped.  Every block below that one was handed
+    out before it and has run, so this is the exception a pass on one
+    thread raises, however the blocks were scheduled.  ``part`` must write
+    disjoint slices of its outputs, reduce nothing across blocks and call
+    no public function of entchar: the calling thread builds the slices, so
+    a tracer that wraps the public functions sees every call on one thread.
     """
     global _pool, _pool_pid
-    slices = list(blocks(n))
-    half = len(slices) // 2
-    if half == 0 or _usable_cpus() < 2:
-        part(slices)
-        return
-    if _pool is None or _pool_pid != os.getpid():
-        _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="entchar-blocks")
-        _pool_pid = os.getpid()
-    second = _pool.submit(part, slices[half:])
-    try:
-        part(slices[:half])
-    finally:
-        failed = second.exception()
-    if failed is not None:
-        raise failed
+    slices = list(blocks(n, size))
+    owns = [scratch(min(n, size)) for _ in range(1 + (len(slices) > 1 and _usable_cpus() > 1))]
+    hand_out, lock, failed = iter(enumerate(slices)), threading.Lock(), {}
+
+    def run(own):
+        while True:
+            with lock:  # each block once, and none after a failure
+                i, sl = next(hand_out, (0, None)) if not failed else (0, None)
+            if sl is None:
+                return
+            try:
+                part(sl, own)
+            except Exception as exc:
+                failed[i] = exc
+
+    if len(owns) == 1:
+        run(owns[0])
+    else:
+        if _pool is None or _pool_pid != os.getpid():
+            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="entchar-blocks")
+            _pool_pid = os.getpid()
+        job = [lambda: run(owns[1])]
+        worker = _pool.submit(_call_each, job)
+        try:
+            run(owns[0])
+        finally:
+            with lock:  # after an interrupt of the calling thread, no further block
+                for _ in hand_out:
+                    pass
+            # A worker that has not started is not waited for.  Its cancelled
+            # call stays queued until the worker is free, so it must not hold
+            # the pass's arrays.
+            if worker.cancel():
+                job.clear()
+            else:
+                worker.result()
+    if failed:
+        raise failed[min(failed)]
 
 
 #: Bell basis vectors |Phi_1>..|Phi_4| in the |00>,|01>,|10>,|11> basis.
@@ -211,13 +257,16 @@ def two_param_bell_weights(p, b) -> np.ndarray:
     return np.array([floor + (p + b) / 2.0, floor + (p - b) / 2.0, floor, floor]).T
 
 
-def _check_simplex(points: np.ndarray, shape: tuple, what: str) -> None:
+def _check_simplex(points: np.ndarray, shape: tuple, what: str, sums=None) -> None:
     """Raise ConfigError unless points has this shape and each point along its
-    last axis is non-negative and sums to 1 within 1e-12 (NaN and inf fail)."""
+    last axis is non-negative and sums to 1 within 1e-12 (NaN and inf fail).
+    The sums go into ``sums`` when it is given."""
     if points.shape != shape:
         raise ConfigError(f"{what} must have shape {shape}, got {points.shape}")
-    sums = points.T.sum(axis=0)  # adds contiguous columns in the builders' layout
-    if not (points.min() >= 0 and sums.min() >= 1.0 - 1e-12 and sums.max() <= 1.0 + 1e-12):
+    sums = points.T.sum(axis=0, out=sums)  # adds contiguous columns in the builders' layout
+    # Column minima first: a whole-array min copies a short strided block.
+    if not (points.min(axis=0).min() >= 0 and sums.min() >= 1.0 - 1e-12
+            and sums.max() <= 1.0 + 1e-12):
         raise ConfigError(f"{what} must be non-negative and sum to 1")
 
 
@@ -304,16 +353,21 @@ class TestSet:
         n = len(weights)
         negativities, purities, entangled = np.empty(n), np.empty(n), np.empty(n, bool)
 
-        def derive(slices):
-            for sl in slices:
-                w = weights[sl]
-                _check_simplex(w, (len(w), 4), "Bell weights")
-                top = np.maximum(np.maximum(w[:, 0], w[:, 1]), np.maximum(w[:, 2], w[:, 3]))
-                np.multiply(2.0, np.maximum(0.0, top - 0.5), out=negativities[sl])
-                np.add((w[:, 0] ** 2 + w[:, 1] ** 2) + w[:, 2] ** 2, w[:, 3] ** 2, out=purities[sl])
-                np.greater(negativities[sl], NEGATIVITY_FLOOR, out=entangled[sl])
+        def derive(sl, own):
+            w, (a, b) = weights[sl], own[:, : sl.stop - sl.start]
+            _check_simplex(w, (len(w), 4), "Bell weights", sums=a)
+            np.maximum(w[:, 0], w[:, 1], out=a)
+            np.maximum(a, np.maximum(w[:, 2], w[:, 3], out=b), out=a)
+            a -= 0.5
+            np.maximum(0.0, a, out=a)
+            np.multiply(2.0, a, out=negativities[sl])
+            np.square(w[:, 0], out=a)
+            a += np.square(w[:, 1], out=b)
+            a += np.square(w[:, 2], out=b)
+            np.add(a, np.square(w[:, 3], out=b), out=purities[sl])
+            np.greater(negativities[sl], NEGATIVITY_FLOOR, out=entangled[sl])
 
-        in_parts(n, derive)
+        in_parts(n, derive, lambda m: np.empty((2, m)))
         for scalars in (negativities, purities, entangled):
             scalars.flags.writeable = False
         self.negativities, self.purities, self.entangled = negativities, purities, entangled
@@ -346,19 +400,39 @@ class TestSet:
         none is positive.  Cached for the last ``n_bins``."""
         n_bins, cache = check_int(n_bins, "bin count", 1, MAX_COUNT), self._bins
         if not cache or cache[0] != n_bins:
-            top = float(self.negativities.max()) or 1.0
-            edges = np.histogram_bin_edges(self.negativities, n_bins, range=(0.0, top))
+            neg = self.negativities
+            top = float(neg.max()) or 1.0
+            edges = np.histogram_bin_edges(neg, n_bins, range=(0.0, top))
+            # Bin i's upper edge at i + 1; the last bin is closed, so nothing passes its inf.
+            upper = np.append(edges[:-1], np.inf)
             labels = np.empty(self.n_states, np.min_scalar_type(n_bins))
-            for sl in blocks(self.n_states):
-                neg = self.negativities[sl]
+
+            def label(sl, own):
+                m = sl.stop - sl.start
+                x, f, i, step, flag = neg[sl], *(a[:m] for a in own)
                 # numpy's uniform-bin path: scale, then correct by one bin where
-                # rounding crossed an edge; the last bin is closed.
-                i = np.minimum((neg / top * n_bins).astype(np.intp), n_bins - 1)
-                i[neg < edges[i]] -= 1
-                i[(neg >= edges[i + 1]) & (i != n_bins - 1)] += 1
-                i += 1
-                i *= self.entangled[sl]
-                labels[sl] = i
+                # rounding crossed an edge.  The indices stay in range, so
+                # take's "clip" changes nothing; its "raise" would copy to a buffer.
+                np.divide(x, top, out=f)
+                f *= n_bins
+                np.copyto(i, f, casting="unsafe")
+                np.minimum(i, n_bins - 1, out=i)
+                # The label is 1 + the bin: add 1 unless x is below the bin's
+                # lower edge, and 1 more where it reaches the upper one.
+                np.greater_equal(x, np.take(edges, i, out=f, mode="clip"), out=flag)
+                np.copyto(step, flag)
+                i += step
+                np.greater_equal(x, np.take(upper, i, out=f, mode="clip"), out=flag)
+                np.copyto(step, flag)
+                i += step
+                np.copyto(step, self.entangled[sl])
+                i *= step
+                np.copyto(labels[sl], i, casting="unsafe")
+
+            # Half blocks (the module's block rule).
+            in_parts(self.n_states, label, lambda m: (np.empty(m), np.empty(m, np.intp),
+                                                      np.empty(m, np.intp), np.empty(m, bool)),
+                     BLOCK // 2)
             cache = self._bins = n_bins, edges, labels
         return cache[1:]
 
@@ -383,33 +457,40 @@ def simplex_prior_bell_diagonal(n: int, seed: int) -> TestSet:
 
     Uses sorted-uniform spacings, which are exactly uniform on the simplex;
     deterministic for a given seed.  The (n, 3) uniforms are drawn block by
-    block, in ``in_parts``: each part starts its own generator from the seed
-    and moves its PCG64 stream ahead past the three uniforms of each earlier
-    state, so the draws equal one ``rng.random((n, 3))``.  Each row of three
-    is sorted by a min/max compare-exchange network on the block's columns,
-    and the four spacings are written into a (4, n) buffer whose transpose
-    is the Bell weights; the values equal a row-wise ``np.sort`` and
-    ``np.diff``.
+    block, in ``in_parts``: each thread's generator starts from the seed and
+    moves its PCG64 stream ahead, before each block it draws, past the three
+    uniforms of every earlier state, so the draws equal one
+    ``rng.random((n, 3))``.  Each row of three is sorted by a min/max
+    compare-exchange network on the block's columns, written in place into
+    a (4, n) buffer whose transpose is the Bell weights, and the four
+    spacings replace them there; the values equal a row-wise ``np.sort``
+    and ``np.diff``.
     """
     n = check_int(n, "sample count", 1, MAX_COUNT)
     seed = check_int(seed, "seed", 0)
     w = np.empty((4, n))
 
-    def draw(slices):
-        # PCG64 jumps ahead past the three uniforms of every earlier state.
-        rng = np.random.default_rng(seed)
-        rng.bit_generator.advance(3 * slices[0].start)
-        for sl in slices:
-            u0, u1, u2 = rng.random((sl.stop - sl.start, 3)).T
-            # Compare-exchange (0, 1), (1, 2), (0, 1) leaves a <= b <= c.
-            a, b = np.minimum(u0, u1), np.maximum(u0, u1)
-            b, c = np.minimum(b, u2), np.maximum(b, u2)
-            a, b = np.minimum(a, b), np.maximum(a, b)
-            w[0, sl] = a
-            np.subtract(b, a, out=w[1, sl])
-            np.subtract(c, b, out=w[2, sl])
-            np.subtract(1.0, c, out=w[3, sl])
+    def scratch(m):  # each thread's generator, uniforms, and the state it draws next
+        return [np.random.default_rng(seed), np.empty((m, 3)), 0]
 
-    in_parts(n, draw)
+    def draw(sl, own):
+        rng, u, at = own
+        # PCG64 jumps ahead past the three uniforms of every state before the block.
+        rng.bit_generator.advance(3 * (sl.start - at))
+        own[2] = sl.stop
+        u0, u1, u2 = rng.random(out=u[: sl.stop - sl.start]).T
+        a, b, c, d = w[:, sl]
+        # Compare-exchange (0, 1), (1, 2), (0, 1), in the rows of w: a <= c <= d.
+        np.minimum(u0, u1, out=a)
+        np.maximum(u0, u1, out=b)
+        np.maximum(b, u2, out=d)
+        np.minimum(b, u2, out=b)
+        np.maximum(a, b, out=c)
+        np.minimum(a, b, out=a)
+        np.subtract(c, a, out=b)
+        np.subtract(d, c, out=c)
+        np.subtract(1.0, d, out=d)
+
+    in_parts(n, draw, scratch)
     return TestSet(w.T)
 

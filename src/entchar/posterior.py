@@ -123,15 +123,17 @@ def log_likelihood_vector(ts: TestSet, rec) -> np.ndarray:
             terms[pair] = terms.get(pair, 0) + n
     ll = np.zeros(ts.n_states)
 
-    def add_terms(slices):
+    def add_terms(sl, own):
+        s, acc = own[: sl.stop - sl.start], ll[sl]
         with np.errstate(divide="ignore"):
-            for sl in slices:
-                acc = ll[sl]
-                for (i, k), n in terms.items():
-                    acc += np.log(w[sl, i] + w[sl, k]) * n
-                acc += constant
+            for (i, k), n in terms.items():
+                np.add(w[sl, i], w[sl, k], out=s)
+                np.log(s, out=s)
+                s *= n
+                acc += s
+        acc += constant
 
-    families.in_parts(ts.n_states, add_terms)
+    families.in_parts(ts.n_states, add_terms, np.empty)
     return ll
 
 
@@ -153,22 +155,23 @@ def update_posterior(ts: TestSet, rec: measurement.MeasurementRecord) -> Posteri
         raise DataError("every test state assigns zero probability to the record")
     prior = ts.prior_weights
 
-    def weigh(slices):
-        # Every step runs in place on the kernel's output; a block's mask,
-        # 1 B per state, is the only temporary.
-        for sl in slices:
-            v = w[sl]
-            v -= shift
-            keep = v >= _LOG_TINY
-            # The clamp comes first: it turns -inf into a finite value, so
-            # that zeroing by ``keep`` never forms -inf * 0 = nan.
-            np.maximum(v, _LOG_TINY, out=v)
-            v *= keep
-            np.exp(v, out=v)
-            v *= keep
-            v *= prior[sl]
+    def weigh(sl, own):
+        # Every step runs in place on the kernel's output; the block's keep
+        # mask, as bool and as float, is its only scratch.
+        m = sl.stop - sl.start
+        v, keep, factor = w[sl], own[0][:m], own[1][:m]
+        v -= shift
+        np.greater_equal(v, _LOG_TINY, out=keep)
+        np.copyto(factor, keep)
+        # The clamp comes first: it turns -inf into a finite value, so
+        # that zeroing by ``factor`` never forms -inf * 0 = nan.
+        np.maximum(v, _LOG_TINY, out=v)
+        v *= factor
+        np.exp(v, out=v)
+        v *= factor
+        v *= prior[sl]
 
-    families.in_parts(ts.n_states, weigh)
+    families.in_parts(ts.n_states, weigh, lambda m: (np.empty(m, bool), np.empty(m)))
     total = w.sum()
     if total <= 0.0:
         raise DataError("posterior mass vanished after the update")

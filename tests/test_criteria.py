@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import xlogy
@@ -280,6 +286,44 @@ class TestFitBellDiagonal:
                 fallbacks += 1
                 assert np.array_equal(p, vectorized_face_fit(freq))
         assert fallbacks >= 100
+
+    #: A fallback record: XX all same, YY all different, the rest even.
+    HUGE_BASE = [[500, 0, 0, 500], [250] * 4, [250] * 4, [0, 500, 500, 0], [250] * 4]
+
+    @pytest.mark.parametrize("scale", [1e152, 2.0**520, 1e300])
+    def test_face_fit_past_1e154_counts(self, scale):
+        # d * d and 4ab overflowed past about 1e154 shots, and the fit raised
+        # ConfigError.  Scaled by a power of two the record fits to the same
+        # bits; by 1e152 or 1e300, which round its counts, within an ulp.
+        def fit(counts):
+            rec = measurement.MeasurementRecord(settings=measurement.DEFAULT_SETTINGS,
+                                                counts=np.array(counts, float))
+            return criteria.fit_bell_diagonal(measurement.frequencies(rec))
+
+        expected, closed = fit(self.HUGE_BASE)
+        assert not closed
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            p, closed = fit(np.multiply(self.HUGE_BASE, scale))
+        assert seen == [] and not closed
+        if scale == 2.0**520:
+            assert np.array_equal(p, expected)
+        np.testing.assert_allclose(p, expected, rtol=0, atol=2.3e-16)
+
+    def test_compare_past_1e154_counts_under_warnings_as_errors(self):
+        script = ("import numpy as np\n"
+                  "from entchar import criteria, measurement\n"
+                  f"counts = np.array({self.HUGE_BASE}, float) * 1e152\n"
+                  "rec = measurement.MeasurementRecord(settings=measurement.DEFAULT_SETTINGS,"
+                  " counts=counts)\n"
+                  "print(criteria.compare(rec).closed_form['bell_diag'])\n")
+        src = str(Path(criteria.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONWARNINGS": "error",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
 
     def test_log_l_matches_state_likelihood(self):
         for seed in range(5):

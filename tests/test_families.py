@@ -351,9 +351,9 @@ def test_only_a_given_prior_is_checked(monkeypatch):
     # The uniform prior the constructor builds is not caller input.
     checked, check = [], families._check_simplex
 
-    def recording(points, shape, what):
+    def recording(points, shape, what, **scratch):
         checked.append(what)
-        check(points, shape, what)
+        check(points, shape, what, **scratch)
 
     monkeypatch.setattr(families, "_check_simplex", recording)
     families.TestSet(np.full((3, 4), 0.25))

@@ -1,6 +1,7 @@
-"""Blocked passes run in two contiguous halves: the same bits on one CPU or
-two, one persistent worker thread, and every public call on the calling
-thread."""
+"""Blocked passes handed out block by block to the calling thread and one
+persistent worker: each block once, the same bits on one CPU or two, the
+lowest failing block's exception, scratch the calling thread owns, and
+every public call on the calling thread."""
 
 import functools
 import hashlib
@@ -9,9 +10,12 @@ import os
 import re
 import select
 import signal
+import sys
 import threading
 import time
+import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -24,7 +28,8 @@ B = families.BLOCK
 
 @pytest.fixture
 def set_cpus(monkeypatch):
-    """Set how many CPUs ``in_parts`` sees: one runs a pass whole, two split it."""
+    """Set how many CPUs ``in_parts`` sees: one runs a pass on the calling
+    thread, two share its blocks with the worker."""
     def set_(k):
         monkeypatch.setattr(families, "_usable_cpus", lambda: k)
     return set_
@@ -42,11 +47,12 @@ BUILDS = {"simplex": lambda n: families.simplex_prior_bell_diagonal(n, seed=4),
 
 def pass_outputs(ts):
     """What each split pass writes: the Bell weights, the state scalars and
-    mask, the kernel output, and posterior weights under a uniform and a
-    given prior."""
+    mask, the histogram labels, the kernel output, and posterior weights
+    under a uniform and a given prior."""
     rec = measurement.simulate_record(families.reference_mixture("rho1"), 1000, seed=2)
     prior = np.random.default_rng(5).dirichlet(np.ones(ts.n_states))
     return [ts.bell_weights, ts.negativities, ts.purities, ts.entangled,
+            *ts.negativity_bins(7), *ts.negativity_bins(300),
             posterior.log_likelihood_vector(ts, rec), posterior.update_posterior(ts, rec).weights,
             posterior.update_posterior(families.TestSet(ts.bell_weights, prior), rec).weights]
 
@@ -61,14 +67,14 @@ def test_outputs_do_not_depend_on_the_split(set_cpus, build, n):
     results = []
     for k in (1, 2):
         set_cpus(k)
-        results.append(pass_outputs(build(n)))
-    assert all(np.array_equal(a, b) for a, b in zip(*results))
+        results.append([digest(a) for a in pass_outputs(build(n))])
+    assert results[0] == results[1]
 
 
-def test_two_halves_draw_one_stream(set_cpus):
-    # The second half jumps its own generator ahead, here past 30 of 61
-    # blocks; block by block, the weights must equal the sorted spacings of
-    # one generator's stream.
+def test_blocks_draw_one_stream(set_cpus):
+    # Each thread jumps its own generator ahead to each block it takes, here
+    # over 61 blocks; block by block, the weights must equal the sorted
+    # spacings of one generator's stream.
     n, seed = 60 * B + 123, 2026
     set_cpus(2)
     weights = families.simplex_prior_bell_diagonal(n, seed).bell_weights
@@ -92,17 +98,94 @@ def test_characterize_document_does_not_depend_on_the_split(set_cpus, tmp_path, 
     assert texts[0] == texts[1]
 
 
-@pytest.mark.parametrize("n", [2 * B, 5 * B + 7], ids=["even", "odd"])
-def test_halves_are_contiguous_runs_of_blocks(set_cpus, n):
+def record_blocks(calls):
+    """A part that records (thread, slice, scratch) for each block it runs."""
+    lock = threading.Lock()
+
+    def part(sl, own):
+        with lock:
+            calls.append((threading.get_ident(), sl, own))
+    return part
+
+
+@pytest.mark.parametrize("n", [2 * B, 5 * B + 7, 40 * B + 1], ids=["even", "odd", "many"])
+def test_each_block_runs_once_on_its_threads_scratch(set_cpus, n):
     set_cpus(2)
-    calls = []
-    families.in_parts(n, lambda slices: calls.append((threading.get_ident(), slices)))
-    calls.sort(key=lambda call: call[1][0].start)
-    slices = list(families.blocks(n))
-    half = len(slices) // 2
-    # The first half on the calling thread, the second on another thread.
-    assert [run for _, run in calls] == [slices[:half], slices[half:]]
-    assert calls[0][0] == threading.get_ident() != calls[1][0]
+    calls, made = [], []
+
+    def scratch(m):
+        made.append((threading.get_ident(), m))
+        return object()
+
+    families.in_parts(n, record_blocks(calls), scratch)
+    # Every block exactly once, over both threads.
+    assert sorted((sl for _, sl, _ in calls), key=lambda sl: sl.start) == list(families.blocks(n))
+    # The calling thread made one set of scratch per thread, and each thread
+    # used only its own.
+    assert made == [(threading.get_ident(), B)] * 2
+    owner = {}
+    for ident, _, own in calls:
+        assert owner.setdefault(id(own), ident) == ident
+
+
+def test_each_block_runs_once_under_fast_thread_switches(set_cpus):
+    # One-state blocks and a thread switch every microsecond: a block handed
+    # out twice, or skipped, would show in the counts.
+    set_cpus(2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            calls = []
+            families.in_parts(3000, record_blocks(calls), lambda m: None, 1)
+            assert sorted(sl.start for _, sl, _ in calls) == list(range(3000))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_delayed_worker_leaves_its_blocks_to_the_calling_thread(set_cpus):
+    set_cpus(2)
+    caller, calls = threading.get_ident(), []
+    recording = record_blocks(calls)
+
+    def part(sl, own):
+        if threading.get_ident() != caller:
+            time.sleep(0.3)
+        recording(sl, own)
+
+    families.in_parts(10 * B, part, lambda m: None)
+    # The worker held at most one block while the calling thread ran the rest.
+    assert sorted(sl.start // B for _, sl, _ in calls) == list(range(10))
+    assert sum(ident != caller for ident, _, _ in calls) <= 1
+
+
+def test_a_call_the_worker_never_started_holds_no_array(set_cpus):
+    # The worker is busy, so the calling thread runs every block and cancels
+    # the worker's call, which stays queued until the worker is free; it
+    # must not keep the pass's scratch or outputs alive until then.
+    set_cpus(2)
+    families.in_parts(2 * B, lambda sl, own: None, lambda m: None)
+    release = threading.Event()
+    busy = families._pool.submit(release.wait, 60)
+    try:
+        out = np.zeros(4 * B)
+        held = [weakref.ref(out)]
+
+        def scratch(m):
+            own = np.empty(m)
+            held.append(weakref.ref(own))
+            return own
+
+        def part(sl, own):
+            out[sl] = 1.0
+
+        families.in_parts(4 * B, part, scratch)
+        assert out.sum() == 4 * B
+        del out, part, scratch
+        assert len(held) == 3 and all(ref() is None for ref in held)
+    finally:
+        release.set()
+        busy.result(timeout=60)
 
 
 @pytest.mark.parametrize("cpus, n", [(1, 5 * B), (2, B)], ids=["one_cpu", "one_block"])
@@ -110,8 +193,8 @@ def test_a_whole_pass_starts_no_thread(monkeypatch, set_cpus, cpus, n):
     set_cpus(cpus)
     monkeypatch.setattr(families, "_pool", None)
     calls = []
-    families.in_parts(n, lambda slices: calls.append((threading.get_ident(), slices)))
-    assert calls == [(threading.get_ident(), list(families.blocks(n)))]
+    families.in_parts(n, record_blocks(calls), lambda m: m)
+    assert calls == [(threading.get_ident(), sl, min(n, B)) for sl in families.blocks(n)]
     assert families._pool is None
 
 
@@ -125,7 +208,7 @@ def test_usable_cpus_without_an_affinity_mask(monkeypatch):
 
 def test_the_worker_persists(set_cpus):
     set_cpus(2)
-    families.in_parts(2 * B, lambda slices: None)
+    families.in_parts(2 * B, lambda sl, own: None, lambda m: None)
     pool, threads = families._pool, threading.active_count()
     for _ in range(3):
         families.simplex_prior_bell_diagonal(2 * B, seed=0)
@@ -133,36 +216,62 @@ def test_the_worker_persists(set_cpus):
     assert threading.active_count() == threads
 
 
-@pytest.mark.parametrize("failing", [0, 1], ids=["calling_thread", "worker"])
-def test_a_failing_half_waits_for_the_other(set_cpus, failing):
+@pytest.mark.parametrize("failing", [{0}, {1}, {2, 5}, {6, 7}, {1, 2, 3, 4, 5, 6, 7}],
+                         ids=["first", "second", "two", "last_two", "all_but_first"])
+def test_the_lowest_failing_block_is_raised(set_cpus, failing):
+    # Odd blocks sleep, so the two threads take blocks in a varying order.
     set_cpus(2)
-    ended = []
+    lock, running, ran = threading.Lock(), [0], []
 
-    def part(slices):
-        if (slices[0].start > 0) == failing:
-            raise ConfigError(f"part {failing}")
-        time.sleep(0.05)
-        ended.append(slices[-1].stop)
+    def part(sl, own):
+        k = sl.start // B
+        with lock:
+            running[0] += 1
+        try:
+            time.sleep(0.02 * (k % 2))
+            with lock:
+                ran.append(k)
+            if k in failing:
+                raise ConfigError(f"block {k}")
+        finally:
+            with lock:
+                running[0] -= 1
 
-    with pytest.raises(ConfigError, match=f"part {failing}"):
-        families.in_parts(2 * B, part)
-    assert ended == [2 * B if failing == 0 else B]
+    with pytest.raises(ConfigError, match=f"^block {min(failing)}$"):
+        families.in_parts(8 * B, part, lambda m: None)
+    # Both threads had stopped, and every block below the lowest failing
+    # one ran, each once.
+    assert running[0] == 0
+    assert len(ran) == len(set(ran)) and set(range(min(failing) + 1)) <= set(ran)
+
+
+def test_no_block_is_handed_out_after_a_failure(set_cpus):
+    set_cpus(1)
+    ran = []
+
+    def part(sl, own):
+        ran.append(sl.start // B)
+        if sl.start:
+            raise ConfigError("block")
+
+    with pytest.raises(ConfigError):
+        families.in_parts(8 * B, part, lambda m: None)
+    assert ran == [0, 1]
 
 
 @pytest.mark.parametrize("bad", [np.nan, -1e-3], ids=["nan", "negative"])
-def test_bad_row_only_in_the_second_half_is_refused(set_cpus, monkeypatch, bad):
+def test_bad_row_only_in_a_late_block_is_refused(set_cpus, monkeypatch, bad):
     set_cpus(2)
     ts = families.simplex_prior_bell_diagonal(4 * B, seed=1)
     weights = ts.bell_weights.copy()
     weights[3 * B + 5] = [0.5 - bad, 0.5, bad, 0.0]
-    check, lock, running, threads = families._check_simplex, threading.Lock(), [0], set()
+    check, lock, running = families._check_simplex, threading.Lock(), [0]
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         with lock:
             running[0] += 1
-            threads.add(threading.get_ident())
         try:
-            return check(*args)
+            return check(*args, **kwargs)
         finally:
             with lock:
                 running[0] -= 1
@@ -170,10 +279,40 @@ def test_bad_row_only_in_the_second_half_is_refused(set_cpus, monkeypatch, bad):
     monkeypatch.setattr(families, "_check_simplex", counted)
     with pytest.raises(ConfigError, match="Bell weights"):
         families.TestSet(weights)
-    # Both halves ran, none is still running, and the next pass gives the
-    # same scalars.
-    assert running[0] == 0 and len(threads) == 2
+    # No check is still running, and the next pass gives the same scalars.
+    assert running[0] == 0
     assert np.array_equal(families.TestSet(ts.bell_weights).negativities, ts.negativities)
+
+
+def test_parts_allocate_no_block_sized_array(set_cpus, monkeypatch):
+    # Each block's temporaries go into its thread's scratch, so a part
+    # allocates less than a bool vector of its shortest block: the last
+    # block of every pass holds 4096 states, fewer than numpy's 8192-element
+    # buffer, below which it copies a strided operand whole.  Run on one
+    # thread, so the traced peak of a part call is its own.
+    set_cpus(1)
+    in_parts, peaks = families.in_parts, {}
+
+    def traced(n, part, scratch, *size):
+        def measured(sl, own):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            part(sl, own)
+            name = part.__qualname__.split(".<locals>.")[-1]
+            peaks[name] = max(peaks.get(name, 0), tracemalloc.get_traced_memory()[1] - before)
+        in_parts(n, measured, scratch, *size)
+
+    monkeypatch.setattr(families, "in_parts", traced)
+    tracemalloc.start()
+    try:
+        ts = families.simplex_prior_bell_diagonal(5 * B + 4096, seed=1)
+        rec = measurement.simulate_record(families.reference_mixture("rho1"), 1000, seed=0)
+        post = posterior.update_posterior(ts, rec)
+        posterior.histogram_negativity(ts, post.weights, 50)
+    finally:
+        tracemalloc.stop()
+    assert set(peaks) == {"draw", "derive", "label", "add_terms", "weigh"}
+    assert max(peaks.values()) < 4096, peaks
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
