@@ -32,31 +32,36 @@ simplex builder's draws and sort, 34 against 96 MB and about three times
 faster; the Bell-weight check and scalars in ``TestSet`` (which also
 write the entangled mask), 16 against 32 MB and about twice as fast; the
 histogram labels of ``TestSet.negativity_bins`` over all states, 1.4
-against 24 MB and 1.8 times faster (in half blocks, so that two threads'
-float, index, step and flag scratch stay within two block vectors); the
-posterior module's log-likelihood kernel, 8 against 24 MB and about
-twice as fast; its histogram's ``np.bincount``, which casts the 1-byte
-labels to intp, 0.1 against 8 MB at the same speed (its blocks grow to
-n_bins + 1 states when there are more bins than ``BLOCK``).  The sixth,
-the posterior update, works in place on the kernel's output and holds
-its keep mask, 9 B/state as bool and float, per block.  Each element goes through the same
-operations in the same order, so the values equal the one-shot formulas
-bit for bit.
+against 24 MB and 1.8 times faster; the posterior module's
+log-likelihood kernel, 8 against 24 MB and about twice as fast; its
+histogram's ``np.bincount``, which casts the 1-byte labels to intp, 0.1
+against 8 MB at the same speed (its blocks grow to n_bins + 1 states
+when there are more bins than ``BLOCK``).  The sixth, the posterior
+update, works in place on the kernel's output and holds its keep mask,
+9 B/state as bool and float, per block.  Each element goes through the
+same operations in the same order, so the values equal the one-shot
+formulas bit for bit.
 
 The elementwise passes among them (the simplex builder, the ``TestSet``
-check and scalars, the histogram labels, the kernel and the update) run
-in ``in_parts``: on a host with two usable CPUs, the calling thread and
-one worker thread take the blocks one at a time from a shared hand-out,
-while numpy's loops and the generator let go of the GIL.  Each block's
-temporaries go into scratch that the calling thread made for the thread
-that runs it, so the worker allocates no block-sized array, and the
-malloc arena glibc gives it keeps nothing of that size.  Each block
-writes its own slices, so the split moves no bit.  Reductions stay on
-the calling thread, whole-array (the maximum, the entangled probability
-and the posterior moments) or in block order (the histogram's masses,
-which differ from a whole-array sum only in rounding), because split
-sums would add in another order.  ``TestSet.equal_columns``, which stops
-at the first mismatch, stays there too.
+check and scalars, the kernel and the update) run in ``in_parts``: on a
+host with two usable CPUs, the calling thread and one worker thread take
+the blocks one at a time from a shared hand-out, while numpy's loops and
+the generator let go of the GIL.  Each block's temporaries go into
+scratch that the calling thread made for the thread that runs it, so the
+worker allocates no block-sized array, and the malloc arena glibc gives
+it keeps nothing of that size.  Each block writes its own slices, so the
+split moves no bit.  Reductions stay on the calling thread, whole-array
+(the maximum, the entangled probability and the posterior moments) or in
+block order (the histogram's masses, which differ from a whole-array sum
+only in rounding), because split sums would add in another order.
+``TestSet.equal_columns``, which stops at the first mismatch, stays
+there too, and so does the label build of ``negativity_bins``, in whole
+blocks: its numpy calls take a few microseconds each, so a second thread
+gains it nothing, and on one thread it corrects only the states whose
+scaled value crossed an edge, by boolean index, instead of the whole
+block.  At 10^6 states and 50 bins it takes 6.3-6.8 ms, against 7.3-7.6
+ms split into half blocks with whole-block corrections, on one CPU or
+two.
 """
 
 import os
@@ -103,13 +108,13 @@ def _call_each(calls: list) -> None:
         call()
 
 
-def in_parts(n: int, part, scratch, size: int = BLOCK) -> None:
+def in_parts(n: int, part, scratch) -> None:
     """Run a blocked pass over range(n): ``part(sl, own)`` for each slice
-    ``sl`` of ``blocks(n, size)``, on two threads when the process may use
-    two CPUs.
+    ``sl`` of ``blocks(n)``, on two threads when the process may use two
+    CPUs.
 
     Scratch rule: before the pass the calling thread makes one set of
-    scratch per thread, ``own = scratch(min(n, size))``, and ``part``
+    scratch per thread, ``own = scratch(min(n, BLOCK))``, and ``part``
     writes every temporary of its block into its thread's ``own`` with
     ``out=``.  So the worker thread allocates no block-sized array, and the
     malloc arena glibc gives it keeps nothing of that size.
@@ -134,8 +139,8 @@ def in_parts(n: int, part, scratch, size: int = BLOCK) -> None:
     a tracer that wraps the public functions sees every call on one thread.
     """
     global _pool, _pool_pid
-    slices = list(blocks(n, size))
-    owns = [scratch(min(n, size)) for _ in range(1 + (len(slices) > 1 and _usable_cpus() > 1))]
+    slices = list(blocks(n))
+    owns = [scratch(min(n, BLOCK)) for _ in range(1 + (len(slices) > 1 and _usable_cpus() > 1))]
     hand_out, lock, failed = iter(enumerate(slices)), threading.Lock(), {}
 
     def run(own):
@@ -400,39 +405,20 @@ class TestSet:
         none is positive.  Cached for the last ``n_bins``."""
         n_bins, cache = check_int(n_bins, "bin count", 1, MAX_COUNT), self._bins
         if not cache or cache[0] != n_bins:
-            neg = self.negativities
+            neg, last = self.negativities, n_bins - 1
             top = float(neg.max()) or 1.0
             edges = np.histogram_bin_edges(neg, n_bins, range=(0.0, top))
-            # Bin i's upper edge at i + 1; the last bin is closed, so nothing passes its inf.
-            upper = np.append(edges[:-1], np.inf)
             labels = np.empty(self.n_states, np.min_scalar_type(n_bins))
-
-            def label(sl, own):
-                m = sl.stop - sl.start
-                x, f, i, step, flag = neg[sl], *(a[:m] for a in own)
+            for sl in blocks(self.n_states):  # on the calling thread (the module's block rule)
+                x = neg[sl]
                 # numpy's uniform-bin path: scale, then correct by one bin where
-                # rounding crossed an edge.  The indices stay in range, so
-                # take's "clip" changes nothing; its "raise" would copy to a buffer.
-                np.divide(x, top, out=f)
-                f *= n_bins
-                np.copyto(i, f, casting="unsafe")
-                np.minimum(i, n_bins - 1, out=i)
-                # The label is 1 + the bin: add 1 unless x is below the bin's
-                # lower edge, and 1 more where it reaches the upper one.
-                np.greater_equal(x, np.take(edges, i, out=f, mode="clip"), out=flag)
-                np.copyto(step, flag)
-                i += step
-                np.greater_equal(x, np.take(upper, i, out=f, mode="clip"), out=flag)
-                np.copyto(step, flag)
-                i += step
-                np.copyto(step, self.entangled[sl])
-                i *= step
-                np.copyto(labels[sl], i, casting="unsafe")
-
-            # Half blocks (the module's block rule).
-            in_parts(self.n_states, label, lambda m: (np.empty(m), np.empty(m, np.intp),
-                                                      np.empty(m, np.intp), np.empty(m, bool)),
-                     BLOCK // 2)
+                # rounding crossed an edge; the last bin is closed.
+                i = np.minimum((x / top * n_bins).astype(np.intp), last)
+                i[x < edges[i]] -= 1
+                i[(x >= edges[i + 1]) & (i != last)] += 1
+                i += 1
+                i *= self.entangled[sl]
+                labels[sl] = i
             cache = self._bins = n_bins, edges, labels
         return cache[1:]
 

@@ -166,6 +166,10 @@ def update_posterior(ts: TestSet, rec: measurement.MeasurementRecord) -> Posteri
         # The clamp comes first: it turns -inf into a finite value, so
         # that zeroing by ``factor`` never forms -inf * 0 = nan.
         np.maximum(v, _LOG_TINY, out=v)
+        # Zeroed, not only clamped: np.exp at log(tiny) itself takes numpy's
+        # slow path, 14 ms against 0.7 ms at 0 per 10^6 elements (2-vCPU
+        # Xeon), and at high shot counts most states sit at the clamp.  The
+        # second ``v *= factor`` alone would give the same bits, slower.
         v *= factor
         np.exp(v, out=v)
         v *= factor

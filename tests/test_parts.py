@@ -47,8 +47,9 @@ BUILDS = {"simplex": lambda n: families.simplex_prior_bell_diagonal(n, seed=4),
 
 def pass_outputs(ts):
     """What each split pass writes: the Bell weights, the state scalars and
-    mask, the histogram labels, the kernel output, and posterior weights
-    under a uniform and a given prior."""
+    mask, the kernel output, and posterior weights under a uniform and a
+    given prior; and the histogram edges and labels, which the calling
+    thread builds from the split passes' negativities."""
     rec = measurement.simulate_record(families.reference_mixture("rho1"), 1000, seed=2)
     prior = np.random.default_rng(5).dirichlet(np.ones(ts.n_states))
     return [ts.bell_weights, ts.negativities, ts.purities, ts.entangled,
@@ -69,6 +70,21 @@ def test_outputs_do_not_depend_on_the_split(set_cpus, build, n):
         set_cpus(k)
         results.append([digest(a) for a in pass_outputs(build(n))])
     assert results[0] == results[1]
+
+
+def test_histogram_labels_are_built_on_the_calling_thread(set_cpus, monkeypatch):
+    # The label build runs in whole blocks on the calling thread, with no
+    # split pass, and gives the labels a one-CPU build gives.
+    n = 5 * B + 7
+    set_cpus(1)
+    one_cpu = families.simplex_prior_bell_diagonal(n, seed=6)
+    set_cpus(2)
+    ts, calls = families.simplex_prior_bell_diagonal(n, seed=6), []
+    monkeypatch.setattr(families, "in_parts", lambda *args: calls.append(args))
+    for n_bins in (50, 300):
+        got = ts.negativity_bins(n_bins)
+        assert calls == []
+        assert [digest(a) for a in got] == [digest(a) for a in one_cpu.negativity_bins(n_bins)]
 
 
 def test_blocks_draw_one_stream(set_cpus):
@@ -129,16 +145,17 @@ def test_each_block_runs_once_on_its_threads_scratch(set_cpus, n):
 
 
 def test_each_block_runs_once_under_fast_thread_switches(set_cpus):
-    # One-state blocks and a thread switch every microsecond: a block handed
-    # out twice, or skipped, would show in the counts.
+    # 3000 blocks whose part does nothing, and a thread switch every
+    # microsecond: a block handed out twice, or skipped, would show in the
+    # counts.  No array is made.
     set_cpus(2)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
             calls = []
-            families.in_parts(3000, record_blocks(calls), lambda m: None, 1)
-            assert sorted(sl.start for _, sl, _ in calls) == list(range(3000))
+            families.in_parts(3000 * B, record_blocks(calls), lambda m: None)
+            assert sorted(sl.start for _, sl, _ in calls) == list(range(0, 3000 * B, B))
     finally:
         sys.setswitchinterval(interval)
 
@@ -293,14 +310,14 @@ def test_parts_allocate_no_block_sized_array(set_cpus, monkeypatch):
     set_cpus(1)
     in_parts, peaks = families.in_parts, {}
 
-    def traced(n, part, scratch, *size):
+    def traced(n, part, scratch):
         def measured(sl, own):
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             part(sl, own)
             name = part.__qualname__.split(".<locals>.")[-1]
             peaks[name] = max(peaks.get(name, 0), tracemalloc.get_traced_memory()[1] - before)
-        in_parts(n, measured, scratch, *size)
+        in_parts(n, measured, scratch)
 
     monkeypatch.setattr(families, "in_parts", traced)
     tracemalloc.start()
@@ -311,7 +328,7 @@ def test_parts_allocate_no_block_sized_array(set_cpus, monkeypatch):
         posterior.histogram_negativity(ts, post.weights, 50)
     finally:
         tracemalloc.stop()
-    assert set(peaks) == {"draw", "derive", "label", "add_terms", "weigh"}
+    assert set(peaks) == {"draw", "derive", "add_terms", "weigh"}
     assert max(peaks.values()) < 4096, peaks
 
 
