@@ -5,7 +5,9 @@ Every name is reached through its module, as ``entchar.posterior.update_posterio
 numpy, and scipy.special where the two-parameter family needs it, load
 with one OpenBLAS thread unless the caller set ``OPENBLAS_NUM_THREADS``,
 ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``: entchar's readouts are
-``np.einsum`` sums, so a thread pool would only slow start-up.  A library
+``np.einsum`` sums, and its one BLAS call, in the likelihood kernel,
+takes one block of states, which entchar's own threads share; a pool's
+start-up cost is measured, its gain for that call is not.  A library
 imported before entchar keeps its own default, and ``os.environ`` is left
 as the caller set it.
 """

@@ -4,11 +4,15 @@ OpenBLAS sizes its thread pool once, when its shared library loads, from
 the first of ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and
 ``OMP_NUM_THREADS`` that is set, else from the CPU count.  numpy and
 scipy.special each load their own OpenBLAS.  entchar's readouts are
-``np.einsum`` sums, not BLAS calls, so a pool only costs start-up time.
-entchar's own worker thread, which shares the blocks of each blocked
-per-state pass with the calling thread (``families.in_parts``), is not
-OpenBLAS's: it starts on first use, not at import, and no thread count
-changes a result.
+``np.einsum`` sums, not BLAS calls.  Its one BLAS call, the likelihood
+kernel's product of a small 0/1 pick matrix with one block of Bell
+weights, is a few hundred thousand multiply-adds, which entchar's own two
+threads already share block by block; what a pool would add to it is not
+measured, while its start-up cost is.  entchar's own
+worker thread, which shares the blocks of each blocked per-state pass
+with the calling thread (``families.in_parts``) and runs the readouts'
+moments beside the histogram (``families.beside``), is not OpenBLAS's: it
+starts on first use, not at import, and no thread count changes a result.
 This module imports nothing but ``os`` so that it can act before numpy
 loads.
 """

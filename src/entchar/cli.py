@@ -134,9 +134,7 @@ def cmd_characterize(args) -> int:
     rec = measurement.load_record(args.record)
     ts, values = _choose(_PRIORS, "prior", args)
     post = posterior.update_posterior(ts, rec)
-    summary = posterior.summarize(ts, post)
-    hist = posterior.histogram_negativity(ts, post.weights, args.bins)
-    rho_bar = posterior.mean_state(ts, post)
+    summary, hist, rho_bar = posterior.readouts(ts, post, args.bins)
     mean = {"negativity": linalg.negativity(rho_bar), "purity": linalg.purity(rho_bar)}
     summary_doc = {**dataclasses.asdict(summary), "mean_state": mean}
     _write_histogram(args, values, started, hist, summary=summary_doc, record=str(args.record))

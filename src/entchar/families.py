@@ -33,7 +33,8 @@ faster; the Bell-weight check and scalars in ``TestSet`` (which also
 write the entangled mask), 16 against 32 MB and about twice as fast; the
 histogram labels of ``TestSet.negativity_bins`` over all states, 1.4
 against 24 MB and 1.8 times faster; the posterior module's
-log-likelihood kernel, 8 against 24 MB and about twice as fast; its
+log-likelihood kernel, whose scratch holds a row per distinct pair sum,
+9.6 against 56 MB and about three times as fast; its
 histogram's ``np.bincount``, which casts the 1-byte labels to intp, 0.1
 against 8 MB at the same speed (its blocks grow to n_bins + 1 states
 when there are more bins than ``BLOCK``).  The sixth, the posterior
@@ -50,22 +51,28 @@ the generator let go of the GIL.  Each block's temporaries go into
 scratch that the calling thread made for the thread that runs it, so the
 worker allocates no block-sized array, and the malloc arena glibc gives
 it keeps nothing of that size.  Each block writes its own slices, so the
-split moves no bit.  Reductions stay on the calling thread, whole-array
-(the maximum, the entangled probability and the posterior moments) or in
-block order (the histogram's masses, which differ from a whole-array sum
-only in rounding), because split sums would add in another order.
-``TestSet.equal_columns``, which stops at the first mismatch, stays
-there too, and so does the label build of ``negativity_bins``, in whole
-blocks: its numpy calls take a few microseconds each, so a second thread
-gains it nothing, and on one thread it corrects only the states whose
-scaled value crossed an edge, by boolean index, instead of the whole
-block.  At 10^6 states and 50 bins it takes 6.3-6.8 ms, against 7.3-7.6
-ms split into half blocks with whole-block corrections, on one CPU or
-two.
+split moves no bit.  Each reduction is made by one thread in one order,
+whole-array (the maximum, the entangled probability, the posterior
+moments and mean Bell weights) or in block order (the histogram's masses,
+which differ from a whole-array sum only in rounding), because split
+sums would add in another order.  The maximum and the masses stay on the
+calling thread; ``posterior.readouts`` runs the moments, a few long
+einsums, on the worker (``beside``) while the calling thread builds the
+histogram, as a pass of many short numpy calls gains little from a
+second thread.  ``TestSet.equal_columns``, which stops at the first
+mismatch, stays on the calling thread too, and so does the label build
+of ``negativity_bins``, in whole blocks: its numpy calls take a few
+microseconds each.  It writes every step into scratch with float
+ufuncs, and takes each edge as the bin index times the bin width, which
+is how ``np.linspace`` makes the edges, instead of gathering it from
+them.  At 10^6 states and 50 bins it takes 6.0-6.2 ms, against 6.5-6.9
+ms with gathers and boolean-index corrections (medians of 30 calls).
 """
 
+import contextlib
 import os
 import threading
+from concurrent import futures
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -103,6 +110,16 @@ def _usable_cpus() -> int:
 _pool = _pool_pid = None
 
 
+def _worker() -> ThreadPoolExecutor:
+    """The one persistent worker thread, started on first use and again in
+    a forked child, whose copy of the pool has no running thread."""
+    global _pool, _pool_pid
+    if _pool is None or _pool_pid != os.getpid():
+        _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="entchar-blocks")
+        _pool_pid = os.getpid()
+    return _pool
+
+
 def _call_each(calls: list) -> None:
     for call in calls:
         call()
@@ -138,7 +155,6 @@ def in_parts(n: int, part, scratch) -> None:
     no public function of entchar: the calling thread builds the slices, so
     a tracer that wraps the public functions sees every call on one thread.
     """
-    global _pool, _pool_pid
     slices = list(blocks(n))
     owns = [scratch(min(n, BLOCK)) for _ in range(1 + (len(slices) > 1 and _usable_cpus() > 1))]
     hand_out, lock, failed = iter(enumerate(slices)), threading.Lock(), {}
@@ -157,11 +173,8 @@ def in_parts(n: int, part, scratch) -> None:
     if len(owns) == 1:
         run(owns[0])
     else:
-        if _pool is None or _pool_pid != os.getpid():
-            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="entchar-blocks")
-            _pool_pid = os.getpid()
         job = [lambda: run(owns[1])]
-        worker = _pool.submit(_call_each, job)
+        worker = _worker().submit(_call_each, job)
         try:
             run(owns[0])
         finally:
@@ -177,6 +190,50 @@ def in_parts(n: int, part, scratch) -> None:
                 worker.result()
     if failed:
         raise failed[min(failed)]
+
+
+@contextlib.contextmanager
+def beside(job):
+    """Run ``job()`` on ``in_parts``'s worker thread while the body of the
+    ``with`` block runs on the calling thread, and wait for it on exit.
+
+    ``job`` follows the rules of a part: it allocates no block-sized array,
+    calls no public function of entchar and writes its results where the
+    caller reads them after the block.  With one usable CPU it runs on the
+    calling thread, on entry, and no thread is started; the worker is
+    started on first use, and again in a forked child, as for ``in_parts``.
+
+    Exception rule: an exception of the job is raised on exit, in place of
+    any exception of the body, as on one CPU, where the job runs first.  A
+    job the worker has not started when the body ends runs on the calling
+    thread then, so the job runs once whichever thread is free.  After an
+    interrupt of the calling thread (an exception that is not an
+    ``Exception``) the job is not started; a running job is waited for,
+    and the interrupt is raised.  The queued call of a job that never
+    started holds no reference to it.
+    """
+    if _usable_cpus() < 2:
+        job()
+        yield
+        return
+    call = [job]
+    worker = _worker().submit(_call_each, call)
+    interrupted = True
+    try:
+        yield
+        interrupted = False
+    except Exception:
+        interrupted = False
+        raise
+    finally:
+        if worker.cancel():  # the worker never started the job
+            call.clear()
+            if not interrupted:
+                job()
+        elif interrupted:
+            futures.wait([worker])
+        else:
+            worker.result()
 
 
 #: Bell basis vectors |Phi_1>..|Phi_4| in the |00>,|01>,|10>,|11> basis.
@@ -409,14 +466,27 @@ class TestSet:
             top = float(neg.max()) or 1.0
             edges = np.histogram_bin_edges(neg, n_bins, range=(0.0, top))
             labels = np.empty(self.n_states, np.min_scalar_type(n_bins))
+            # Edge k below the last is float(k) * step, as np.linspace makes
+            # it, so each block's edges are computed from its float bin
+            # indices, not gathered; the bins are exact integers in float64.
+            step, m = top / n_bins, min(self.n_states, BLOCK)
+            i_buf, e_buf, c_buf = np.empty(m), np.empty(m), np.empty(m, bool)
             for sl in blocks(self.n_states):  # on the calling thread (the module's block rule)
-                x = neg[sl]
+                x, k = neg[sl], sl.stop - sl.start
+                i, e, c = i_buf[:k], e_buf[:k], c_buf[:k]
                 # numpy's uniform-bin path: scale, then correct by one bin where
                 # rounding crossed an edge; the last bin is closed.
-                i = np.minimum((x / top * n_bins).astype(np.intp), last)
-                i[x < edges[i]] -= 1
-                i[(x >= edges[i + 1]) & (i != last)] += 1
-                i += 1
+                np.divide(x, top, out=i)
+                i *= n_bins
+                np.minimum(i, last, out=i)
+                np.trunc(i, out=i)
+                np.less(x, np.multiply(i, step, out=e), out=c)
+                i -= c
+                np.add(i, 1.0, out=e)
+                e *= step
+                i += np.greater_equal(x, e, out=c)
+                np.minimum(i, last, out=i)  # no step up out of the last bin
+                i += 1.0
                 i *= self.entangled[sl]
                 labels[sl] = i
             cache = self._bins = n_bins, edges, labels

@@ -8,10 +8,16 @@ takes a test set and which the posterior and the fits in ``criteria``
 share.  The kernel takes one log per distinct pair sum w_a + w_b: the
 different-outcome pairs are the same-outcome pairs' complements, so
 nothing is clipped, and Bell-weight columns equal in every state are
-merged (``TestSet.equal_columns``, found once per test set).  The
-posterior mean state is the Bell-diagonal state of the mean weights.
-``log_likelihood`` is the generic per-state version for any density
-matrix.
+merged (``TestSet.equal_columns``, found once per test set).  Per block of
+states it forms every pair sum in one BLAS product of a 0/1 pick matrix
+with the block's (4, m) weights, exact in any BLAS because each entry adds
+two picked weights, takes their logs in one call, and adds the rows times
+their counts in pair order, so its values equal a pair-by-pair loop bit for
+bit.  The posterior mean state is the Bell-diagonal state of the mean
+weights.  ``readouts`` gives the summary, histogram and mean state at
+once: the moments, a few whole-array einsums, run on the worker thread
+beside the histogram (``families.beside``).  ``log_likelihood`` is the
+generic per-state version for any density matrix.
 
 Log-likelihoods drop the multinomial coefficient: it is constant across
 states, cancels in the posterior normalization, and the model-comparison
@@ -113,7 +119,6 @@ def log_likelihood_vector(ts: TestSet, rec) -> np.ndarray:
     n_split = float(same.sum() + diff.sum())
     n_quarter = float(rec.counts.sum() - same.sum() - diff.sum())
     constant = n_quarter * _LOG_QUARTER - n_split * _LOG_2
-    w = ts.bell_weights
     # Counts per distinct pair sum; unobserved outcomes are left out, so
     # that 0 * log(0) never arises.
     first, terms = ts.equal_columns, {}
@@ -121,19 +126,32 @@ def log_likelihood_vector(ts: TestSet, rec) -> np.ndarray:
         if n > 0:
             pair = tuple(sorted((first[i], first[k])))
             terms[pair] = terms.get(pair, 0) + n
-    ll = np.zeros(ts.n_states)
+    # One row per pair sum, picking its two weights (a merged pair's one
+    # weight twice): each product is exact and each sum one rounding of
+    # w_a + w_b, so the BLAS's order, FMA use and thread count move no bit.
+    pick = np.zeros((len(terms), 4))
+    for r, (i, k) in enumerate(terms):
+        pick[r, i] += 1.0
+        pick[r, k] += 1.0
+    counts = np.array(list(terms.values()), dtype=float)
+    w, ll = ts.bell_weights.T, np.empty(ts.n_states)
 
     def add_terms(sl, own):
-        s, acc = own[: sl.stop - sl.start], ll[sl]
+        # Per block, in the block's scratch: the pair sums in one BLAS
+        # product, their logs in one call, each row times its count (one
+        # broadcast product would copy a short last block's counts into a
+        # buffer), then the rows added in the order of _OUTCOME_PAIRS.
+        m = sl.stop - sl.start
+        s = own[: len(terms) * m].reshape(len(terms), m)
+        np.matmul(pick, w[:, sl], out=s)
         with np.errstate(divide="ignore"):
-            for (i, k), n in terms.items():
-                np.add(w[sl, i], w[sl, k], out=s)
-                np.log(s, out=s)
-                s *= n
-                acc += s
+            np.log(s, out=s)
+        for row, n in zip(s, counts):
+            row *= n
+        acc = np.add.reduce(s, axis=0, out=ll[sl])
         acc += constant
 
-    families.in_parts(ts.n_states, add_terms, np.empty)
+    families.in_parts(ts.n_states, add_terms, lambda m: np.empty(len(terms) * m))
     return ll
 
 
@@ -193,6 +211,38 @@ def _readout_weights(ts: TestSet, weights) -> np.ndarray:
     return w
 
 
+def _sums(ts: TestSet, w: np.ndarray) -> list:
+    """The summary's five weighted sums: of the entangled mask, of the
+    negativities and their squares, and of the purities and their squares."""
+    neg, pur = ts.negativities, ts.purities
+    return [float(np.einsum("i,i->", w, ts.entangled)),
+            float(np.einsum("i,i->", w, neg)), float(np.einsum("i,i,i->", w, neg, neg)),
+            float(np.einsum("i,i->", w, pur)), float(np.einsum("i,i,i->", w, pur, pur))]
+
+
+def _summary(sums: list) -> EstimateSummary:
+    prob_entangled, neg_mean, neg_square, pur_mean, pur_square = sums
+    return EstimateSummary(
+        prob_entangled=prob_entangled,
+        neg_mean=neg_mean,
+        neg_std=math.sqrt(max(0.0, neg_square - neg_mean**2)),
+        pur_mean=pur_mean,
+        pur_std=math.sqrt(max(0.0, pur_square - pur_mean**2)),
+    )
+
+
+def _mean_rho(mean_weights: np.ndarray, neg_mean: float) -> np.ndarray:
+    """The Bell-diagonal state of the mean weights, checked against the
+    convexity bound: its negativity may not exceed the mean negativity."""
+    rho = families.bell_diagonal_state(mean_weights)
+    neg = linalg.negativity(rho)
+    if neg > neg_mean + 1e-9:
+        raise ConfigError(
+            f"mean-state negativity {neg:.6g} exceeds the posterior mean negativity {neg_mean:.6g}"
+        )
+    return rho
+
+
 def summarize(ts: TestSet, post: Posterior) -> EstimateSummary:
     """Posterior entanglement probability and negativity/purity moments.
 
@@ -201,19 +251,7 @@ def summarize(ts: TestSet, post: Posterior) -> EstimateSummary:
     products, which needs no n-sized temporary and, unlike a BLAS dot
     product, does not depend on the BLAS thread count.
     """
-    w = _readout_weights(ts, post.weights)
-    neg, pur = ts.negativities, ts.purities
-    neg_mean = float(np.einsum("i,i->", w, neg))
-    neg_var = max(0.0, float(np.einsum("i,i,i->", w, neg, neg)) - neg_mean**2)
-    pur_mean = float(np.einsum("i,i->", w, pur))
-    pur_var = max(0.0, float(np.einsum("i,i,i->", w, pur, pur)) - pur_mean**2)
-    return EstimateSummary(
-        prob_entangled=float(np.einsum("i,i->", w, ts.entangled)),
-        neg_mean=neg_mean,
-        neg_std=math.sqrt(neg_var),
-        pur_mean=pur_mean,
-        pur_std=math.sqrt(pur_var),
-    )
+    return _summary(_sums(ts, _readout_weights(ts, post.weights)))
 
 
 def histogram_negativity(ts: TestSet, weights: np.ndarray, n_bins: int) -> Histogram:
@@ -246,10 +284,30 @@ def mean_state(ts: TestSet, post: Posterior) -> np.ndarray:
     negativities do not describe the states, and raises ConfigError.
     """
     w = _readout_weights(ts, post.weights)
-    rho = families.bell_diagonal_state(np.einsum("i,ij->j", w, ts.bell_weights))
-    neg, bound = linalg.negativity(rho), float(np.einsum("i,i->", w, ts.negativities))
-    if neg > bound + 1e-9:
-        raise ConfigError(
-            f"mean-state negativity {neg:.6g} exceeds the posterior mean negativity {bound:.6g}"
-        )
-    return rho
+    return _mean_rho(np.einsum("i,ij->j", w, ts.bell_weights),
+                     float(np.einsum("i,i->", w, ts.negativities)))
+
+
+def readouts(ts: TestSet, post: Posterior, n_bins: int):
+    """``(summarize(ts, post), histogram_negativity(ts, post.weights,
+    n_bins), mean_state(ts, post))``, equal bit for bit, from one pass of
+    the weights' moments.
+
+    The moments (the summary's five sums and the mean Bell weights, a few
+    long einsums that let go of the GIL) run on the worker thread of
+    ``families.in_parts`` (``families.beside``) while the calling thread
+    builds the histogram; with one usable CPU they run first, on the
+    calling thread.  The mean state's convexity bound is the summary's
+    ``neg_mean``, the same sum ``mean_state`` takes.  Errors are those of
+    the three readouts.
+    """
+    w, moments = _readout_weights(ts, post.weights), []
+
+    def job():
+        moments.extend((_sums(ts, w), np.einsum("i,ij->j", w, ts.bell_weights)))
+
+    with families.beside(job):
+        hist = histogram_negativity(ts, w, n_bins)
+    sums, mean_weights = moments
+    summary = _summary(sums)
+    return summary, hist, _mean_rho(mean_weights, summary.neg_mean)

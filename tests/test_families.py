@@ -658,3 +658,49 @@ def test_kernel_matches_former_formula_on_readme_records(build, seed):
     np.testing.assert_array_equal(np.isneginf(ll), np.isneginf(former))
     finite = np.isfinite(former)
     np.testing.assert_allclose(ll[finite], former[finite], rtol=1e-12, atol=0)
+
+
+LABEL_BINS = [1, 7, 50, 255, 256, 300, 3 * families.BLOCK]
+
+
+def numpy_label(x, top, n_bins):
+    """0 at or below the entangled floor, else 1 + the bin np.histogram puts x in."""
+    if x <= linalg.NEGATIVITY_FLOOR:
+        return 0
+    counts, _ = np.histogram([x], bins=n_bins, range=(0.0, top))
+    return 1 + int(np.argmax(counts))
+
+
+@pytest.mark.parametrize("n_bins", LABEL_BINS)
+def test_labels_on_and_beside_each_edge_match_numpy_histogram(n_bins):
+    # Negativities exactly on an edge, one ulp below and above it, and at
+    # top, behind two blocks of random ones; every edge is tried up to 300
+    # bins, and 200 of them, with the first and last, above.
+    top = 0.8123456789
+    edges = np.histogram_bin_edges([], n_bins, range=(0.0, top))
+    rng = np.random.default_rng(n_bins)
+    picks = np.arange(n_bins + 1)
+    if n_bins > 300:
+        picks = np.unique(np.r_[0, 1, n_bins - 1, n_bins, rng.choice(n_bins + 1, 200)])
+    near = np.r_[[np.nextafter(edges[picks], -1.0), edges[picks],
+                  np.nextafter(edges[picks], 2.0)]].T.ravel()
+    near = np.r_[near[(near >= 0.0) & (near <= top)], top]
+    x = np.r_[rng.random(2 * families.BLOCK) * top, near]
+    ts = families.TestSet(np.full((len(x), 4), 0.25))
+    ts.negativities, ts.entangled = x, x > linalg.NEGATIVITY_FLOOR
+    got_edges, labels = ts.negativity_bins(n_bins)
+    assert got_edges.tobytes() == edges.tobytes()
+    at = 2 * families.BLOCK
+    assert [int(v) for v in labels[at:]] == [numpy_label(v, top, n_bins) for v in near]
+    counts, _ = np.histogram(x[ts.entangled], bins=n_bins, range=(0.0, top))
+    assert np.array_equal(np.bincount(labels, minlength=n_bins + 1)[1:], counts)
+
+
+@pytest.mark.parametrize("top", [1.0, 0.8123456789, 2.0 ** -40, 1.0 - 2.0 ** -52])
+@pytest.mark.parametrize("n_bins", LABEL_BINS)
+def test_edges_below_the_last_are_index_times_step(n_bins, top):
+    # The label build computes edge k as float(k) * (top / n_bins) rather
+    # than reading it from the edges, so the two must agree bit for bit.
+    edges = np.histogram_bin_edges([], n_bins, range=(0.0, top))
+    assert edges[:-1].tobytes() == (np.arange(n_bins) * (top / n_bins)).tobytes()
+    assert edges[-1] == top

@@ -100,6 +100,12 @@ def test_blocks_draw_one_stream(set_cpus):
         assert np.array_equal(weights[sl], np.diff(u, axis=1, prepend=0.0, append=1.0))
 
 
+def readout_bytes(summary, hist, rho):
+    return [np.float64(v).tobytes() for v in vars(summary).values()] + [
+        hist.bin_edges.tobytes(), hist.bin_mass.tobytes(),
+        np.float64(hist.separable_mass).tobytes(), rho.tobytes()]
+
+
 def test_characterize_document_does_not_depend_on_the_split(set_cpus, tmp_path, capsys):
     rec = tmp_path / "rec.json"
     assert cli.main(["simulate", "--state", "rho1", "--shots", "400", "--seed", "3",
@@ -112,6 +118,15 @@ def test_characterize_document_does_not_depend_on_the_split(set_cpus, tmp_path, 
                          "--samples", str(5 * B + 7), "--seed", "1", "--out", str(out)]) == 0
         texts.append(re.sub(r'"duration_s": [0-9.e-]+', "", out.read_text()))
     assert texts[0] == texts[1]
+    # The document's readouts equal the three sequential ones bit for bit.
+    ts = families.simplex_prior_bell_diagonal(5 * B + 7, seed=1)
+    post = posterior.update_posterior(ts, measurement.load_record(rec))
+    sequential = readout_bytes(posterior.summarize(ts, post),
+                               posterior.histogram_negativity(ts, post.weights, 50),
+                               posterior.mean_state(ts, post))
+    for k in (1, 2):
+        set_cpus(k)
+        assert readout_bytes(*posterior.readouts(ts, post, 50)) == sequential
 
 
 def record_blocks(calls):
@@ -332,6 +347,120 @@ def test_parts_allocate_no_block_sized_array(set_cpus, monkeypatch):
     assert max(peaks.values()) < 4096, peaks
 
 
+def test_the_readouts_job_allocates_no_block_sized_array(set_cpus, monkeypatch):
+    # The moments job runs beside the histogram: its einsums allocate less
+    # than one float64 block vector.  On one CPU the job runs inline, before
+    # the histogram, so its traced peak is its own.
+    set_cpus(1)
+    beside, peaks = families.beside, []
+
+    def traced(job):
+        def measured():
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            job()
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return beside(measured)
+
+    monkeypatch.setattr(families, "beside", traced)
+    ts = families.simplex_prior_bell_diagonal(5 * B + 4096, seed=1)
+    rec = measurement.simulate_record(families.reference_mixture("rho1"), 1000, seed=0)
+    post = posterior.update_posterior(ts, rec)
+    tracemalloc.start()
+    try:
+        posterior.readouts(ts, post, 50)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 1 and peaks[0] < 8 * B, peaks
+
+
+def test_a_job_beside_runs_on_the_worker_and_its_exception_reaches_the_caller(set_cpus):
+    # Each body waits until the worker has taken the job; a job the worker
+    # has not started when the body ends would run on the calling thread.
+    set_cpus(2)
+    caller, ran, started = threading.get_ident(), [], threading.Semaphore(0)
+
+    def failing():
+        ran.append(threading.get_ident())
+        started.release()
+        raise ConfigError("job")
+
+    with pytest.raises(ConfigError, match="^job$"):
+        with families.beside(failing):
+            assert started.acquire(timeout=60)
+    # The job's exception is raised in place of the body's, as on one CPU,
+    # where the job runs first.
+    with pytest.raises(ConfigError, match="^job$") as info:
+        with families.beside(failing):
+            assert started.acquire(timeout=60)
+            raise ValueError("body")
+    assert isinstance(info.value.__context__, ValueError)
+    assert len(ran) == 2 and caller not in ran
+    # The worker is free for the next split pass and the next job.
+    expected = digest(families.simplex_prior_bell_diagonal(5 * B + 7, seed=3).bell_weights)
+    set_cpus(1)
+    assert digest(families.simplex_prior_bell_diagonal(5 * B + 7, seed=3).bell_weights) == expected
+    set_cpus(2)
+    with families.beside(lambda: (ran.append(threading.get_ident()), started.release())):
+        assert started.acquire(timeout=60)
+    assert len(ran) == 3 and ran[2] != caller
+
+
+def test_a_job_the_busy_worker_never_started_runs_on_the_calling_thread(set_cpus):
+    set_cpus(2)
+    families.in_parts(2 * B, lambda sl, own: None, lambda m: None)
+    release, ran = threading.Event(), []
+    busy = families._pool.submit(release.wait, 60)
+    try:
+        with families.beside(lambda: ran.append(threading.get_ident())):
+            pass
+        assert ran == [threading.get_ident()]
+    finally:
+        release.set()
+        busy.result(timeout=60)
+
+
+def test_an_interrupt_waits_for_a_running_job_and_starts_none(set_cpus):
+    set_cpus(2)
+    started, done = threading.Event(), []
+
+    def job():
+        started.set()
+        time.sleep(0.2)
+        done.append(True)
+
+    with pytest.raises(KeyboardInterrupt):
+        with families.beside(job):
+            assert started.wait(60)
+            raise KeyboardInterrupt
+    assert done == [True]
+    # A job still queued behind a busy worker is dropped, not run, and its
+    # cancelled call, queued until the worker is free, holds nothing of it.
+    release, ran = threading.Event(), []
+    busy = families._pool.submit(release.wait, 60)
+    try:
+        out = np.zeros(B)
+        held = weakref.ref(out)
+        with pytest.raises(KeyboardInterrupt):
+            with families.beside(lambda a=out: ran.append(a.sum())):
+                raise KeyboardInterrupt
+        del out
+        assert held() is None
+    finally:
+        release.set()
+        busy.result(timeout=60)
+    assert ran == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_readouts_with_a_bad_bin_count_raise_the_histograms_error(set_cpus, cpus):
+    set_cpus(cpus)
+    ts = families.simplex_prior_bell_diagonal(5 * B, seed=2)
+    post = posterior.Posterior(weights=np.asarray(ts.prior_weights))
+    with pytest.raises(ConfigError, match="bin count"):
+        posterior.readouts(ts, post, 0)
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
 def test_forked_child_runs_a_split_pass(set_cpus):
     set_cpus(2)
@@ -379,7 +508,9 @@ def test_every_public_call_is_on_the_calling_thread(set_cpus, monkeypatch):
     rec = measurement.simulate_record(families.reference_mixture("rho2"), 1000, seed=4)
     post = posterior.update_posterior(ts, rec)
     posterior.histogram_negativity(ts, post.weights, 20)
-    assert {name for name, _ in threads} >= {"blocks", "in_parts", "log_likelihood_vector"}
+    posterior.readouts(ts, post, 30)
+    assert {name for name, _ in threads} >= {"blocks", "in_parts", "log_likelihood_vector",
+                                              "beside", "readouts", "bell_diagonal_state"}
     assert {ident for _, ident in threads} == {threading.get_ident()}
 
 

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entchar import families, linalg, measurement, posterior
 from entchar.errors import ConfigError, DataError
@@ -50,6 +52,65 @@ class TestLogLikelihood:
         for i in range(ts.n_states):
             rho = families.two_param_state(p_axis[i // 6], s_axis[i % 6])
             assert ll[i] == pytest.approx(posterior.log_likelihood(rec, rho), abs=1e-9)
+
+
+def per_pair_kernel(weights, rec):
+    """The log-likelihood kernel written out pair by pair: for each pair sum,
+    in the order of ``_OUTCOME_PAIRS`` and with the counts of equal columns'
+    pairs added, w_a + w_b, its log, times the count, added to a running
+    total from 0; then the constant."""
+    same, diff = posterior.same_different_counts(rec)
+    n_split = int(same.sum() + diff.sum())  # exact: counts past 2**53 do not round
+    constant = float(int(rec.counts.sum()) - n_split) * np.log(0.25) - float(n_split) * np.log(2.0)
+    first = [next(j for j in range(k + 1) if np.array_equal(weights[:, j], weights[:, k]))
+             for k in range(4)]
+    terms = {}
+    for (a, b), n in zip(posterior._OUTCOME_PAIRS, np.concatenate([same, diff])):
+        if n > 0:
+            pair = tuple(sorted((first[a], first[b])))
+            terms[pair] = terms.get(pair, 0) + n
+    ll = np.zeros(len(weights))
+    with np.errstate(divide="ignore"):
+        for (a, b), n in terms.items():
+            s = weights[:, a] + weights[:, b]
+            s = np.log(s)
+            s *= n
+            ll += s
+    ll += constant
+    return ll
+
+
+@st.composite
+def kernel_cases(draw):
+    """Simplex weights in either layout, with some columns equal in every
+    state and some weights exactly 0, and a record of counts up to 2**53."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([1, 5, families.BLOCK + 3, 2 * families.BLOCK + 4096]))
+    w = rng.dirichlet(np.ones(4), n)
+    equal = draw(st.sampled_from([(), (2, 3), (0, 1), (1, 2, 3), (0, 1, 2, 3)]))
+    if equal:
+        w[:, equal] = w[:, equal].mean(axis=1, keepdims=True)
+    if len(equal) <= 2 and draw(st.booleans()):
+        # Move one free column's mass to the other in about half the states.
+        z, to = [j for j in range(4) if j not in equal][:2]
+        rows = rng.random(n) < 0.5
+        w[rows, to] += w[rows, z]
+        w[rows, z] = 0.0
+    if draw(st.booleans()):
+        w = np.ascontiguousarray(w.T).T
+    top = draw(st.sampled_from([3, 1000, 2**53]))
+    counts = np.array(draw(st.lists(st.integers(0, top), min_size=20, max_size=20))).reshape(5, 4)
+    return w, measurement.MeasurementRecord(settings=measurement.DEFAULT_SETTINGS, counts=counts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_cases())
+def test_kernel_equals_the_per_pair_sums_bit_for_bit(case):
+    # The kernel's pick-matrix product forms each pair sum exactly as one
+    # addition does, whatever the BLAS's order, FMA use or thread count.
+    weights, rec = case
+    got = posterior.log_likelihood_vector(families.TestSet(weights), rec)
+    assert got.tobytes() == per_pair_kernel(weights, rec).tobytes()
 
 
 class TestUpdatePosterior:
