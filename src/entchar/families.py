@@ -44,20 +44,21 @@ same operations in the same order, so the values equal the one-shot
 formulas bit for bit.
 
 The elementwise passes among them (the simplex builder, the ``TestSet``
-check and scalars, the kernel and the update) run in ``in_parts``: on a
-host with two usable CPUs, the calling thread and one worker thread take
-the blocks one at a time from a shared hand-out, while numpy's loops and
-the generator let go of the GIL.  Each block's temporaries go into
-scratch that the calling thread made for the thread that runs it, so the
-worker allocates no block-sized array, and the malloc arena glibc gives
-it keeps nothing of that size.  Each block writes its own slices, so the
+check and scalars, the kernel and the update) run in ``in_parts``: the
+calling thread and one worker thread take the blocks one at a time from a
+shared hand-out, while numpy's loops and the generator let go of the GIL.
+``beside`` is the one way onto the worker, under one start rule for every
+pass and readout.  Each block's temporaries go into scratch that the
+calling thread made for the thread that runs it, so the worker allocates
+no block-sized array, and the malloc arena glibc gives it keeps nothing
+of that size.  Each block writes its own slices, so the
 split moves no bit.  Each reduction is made by one thread in one order,
 whole-array (the maximum, the entangled probability, the posterior
 moments and mean Bell weights) or in block order (the histogram's masses,
 which differ from a whole-array sum only in rounding), because split
 sums would add in another order.  The maximum and the masses stay on the
 calling thread; ``posterior.readouts`` runs the moments, a few long
-einsums, on the worker (``beside``) while the calling thread builds the
+einsums, through ``beside`` while the calling thread builds the
 histogram, as a pass of many short numpy calls gains little from a
 second thread.  ``TestSet.equal_columns``, which stops at the first
 mismatch, stays on the calling thread too, and so does the label build
@@ -107,17 +108,13 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _split(n: int) -> bool:
+    """The start rule: work over n states uses the worker thread when it
+    spans more than one block and the process may use two CPUs."""
+    return n > BLOCK and _usable_cpus() > 1
+
+
 _pool = _pool_pid = None
-
-
-def _worker() -> ThreadPoolExecutor:
-    """The one persistent worker thread, started on first use and again in
-    a forked child, whose copy of the pool has no running thread."""
-    global _pool, _pool_pid
-    if _pool is None or _pool_pid != os.getpid():
-        _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="entchar-blocks")
-        _pool_pid = os.getpid()
-    return _pool
 
 
 def _call_each(calls: list) -> None:
@@ -127,24 +124,21 @@ def _call_each(calls: list) -> None:
 
 def in_parts(n: int, part, scratch) -> None:
     """Run a blocked pass over range(n): ``part(sl, own)`` for each slice
-    ``sl`` of ``blocks(n)``, on two threads when the process may use two
-    CPUs.
+    ``sl`` of ``blocks(n)``, on the calling thread and, under ``beside``'s
+    start rule, the worker thread.
+
+    Hand-out rule: both threads take the blocks one at a time, in order,
+    from a shared hand-out, so a delayed worker leaves the remaining blocks
+    to the calling thread.  The worker's half is ``beside``'s job; once the
+    calling thread's half ends, the hand-out is drained, so the worker
+    stops after its current block, and a half the worker never started
+    finds no block left when it runs on the calling thread.
 
     Scratch rule: before the pass the calling thread makes one set of
     scratch per thread, ``own = scratch(min(n, BLOCK))``, and ``part``
     writes every temporary of its block into its thread's ``own`` with
     ``out=``.  So the worker thread allocates no block-sized array, and the
     malloc arena glibc gives it keeps nothing of that size.
-
-    The calling thread and one persistent worker thread take the blocks one
-    at a time, in order, from a shared hand-out, so a delayed worker leaves
-    the remaining blocks to the calling thread, which at the end waits at
-    most for the worker's current block.  With one usable CPU or one block,
-    every block runs on the calling thread and no thread is started.  The
-    worker is started on first use, and again in a forked child, whose copy
-    of the pool has no running thread; it lives as long as the process, so
-    on Python 3.12 and later each ``os.fork()`` after the first split pass
-    warns that the process has threads.
 
     Exception rule: once a block raises, no further block is handed out,
     and the call raises the exception of the lowest-numbered failing block
@@ -155,9 +149,8 @@ def in_parts(n: int, part, scratch) -> None:
     no public function of entchar: the calling thread builds the slices, so
     a tracer that wraps the public functions sees every call on one thread.
     """
-    slices = list(blocks(n))
-    owns = [scratch(min(n, BLOCK)) for _ in range(1 + (len(slices) > 1 and _usable_cpus() > 1))]
-    hand_out, lock, failed = iter(enumerate(slices)), threading.Lock(), {}
+    owns = [scratch(min(n, BLOCK)) for _ in range(1 + _split(n))]
+    hand_out, lock, failed = enumerate(blocks(n)), threading.Lock(), {}
 
     def run(own):
         while True:
@@ -170,54 +163,55 @@ def in_parts(n: int, part, scratch) -> None:
             except Exception as exc:
                 failed[i] = exc
 
-    if len(owns) == 1:
-        run(owns[0])
-    else:
-        job = [lambda: run(owns[1])]
-        worker = _worker().submit(_call_each, job)
+    with beside(n, lambda: run(owns[-1])):
         try:
             run(owns[0])
         finally:
             with lock:  # after an interrupt of the calling thread, no further block
                 for _ in hand_out:
                     pass
-            # A worker that has not started is not waited for.  Its cancelled
-            # call stays queued until the worker is free, so it must not hold
-            # the pass's arrays.
-            if worker.cancel():
-                job.clear()
-            else:
-                worker.result()
     if failed:
         raise failed[min(failed)]
 
 
 @contextlib.contextmanager
-def beside(job):
-    """Run ``job()`` on ``in_parts``'s worker thread while the body of the
-    ``with`` block runs on the calling thread, and wait for it on exit.
+def beside(n: int, job):
+    """Run ``job()``, work over ``n`` states, on the worker thread while the
+    body of the ``with`` block runs on the calling thread, and wait for it
+    on exit.
 
-    ``job`` follows the rules of a part: it allocates no block-sized array,
-    calls no public function of entchar and writes its results where the
-    caller reads them after the block.  With one usable CPU it runs on the
-    calling thread, on entry, and no thread is started; the worker is
-    started on first use, and again in a forked child, as for ``in_parts``.
+    Start rule (``_split``): the worker runs the job only when ``n`` is
+    more than ``BLOCK`` and the process may use two CPUs (its affinity
+    mask; ``taskset -c 0`` gives one).  Otherwise the job runs on the
+    calling thread, on entry, and no thread is started.  The one persistent
+    worker is started on first use, and again in a forked child, whose copy
+    of the pool has no running thread; it lives as long as the process, so
+    on Python 3.12 and later each ``os.fork()`` after its start warns that
+    the process has threads.
+
+    ``job`` follows the rules of a part of ``in_parts``: it allocates no
+    block-sized array, calls no public function of entchar and writes its
+    results where the caller reads them after the block.
 
     Exception rule: an exception of the job is raised on exit, in place of
-    any exception of the body, as on one CPU, where the job runs first.  A
-    job the worker has not started when the body ends runs on the calling
-    thread then, so the job runs once whichever thread is free.  After an
-    interrupt of the calling thread (an exception that is not an
-    ``Exception``) the job is not started; a running job is waited for,
-    and the interrupt is raised.  The queued call of a job that never
-    started holds no reference to it.
+    any exception of the body, as where the job runs first on the calling
+    thread.  A job the worker has not started when the body ends is
+    cancelled and runs on the calling thread then, so the job runs once
+    whichever thread is free; its queued call, which stays until the
+    worker is free, holds no reference to it.  After an interrupt of the
+    calling thread (an exception that is not an ``Exception``) the job is
+    not started; a running job is waited for, and the interrupt is raised.
     """
-    if _usable_cpus() < 2:
+    global _pool, _pool_pid
+    if not _split(n):
         job()
         yield
         return
+    if _pool is None or _pool_pid != os.getpid():
+        _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="entchar-blocks")
+        _pool_pid = os.getpid()
     call = [job]
-    worker = _worker().submit(_call_each, call)
+    worker = _pool.submit(_call_each, call)
     interrupted = True
     try:
         yield

@@ -15,8 +15,9 @@ two picked weights, takes their logs in one call, and adds the rows times
 their counts in pair order, so its values equal a pair-by-pair loop bit for
 bit.  The posterior mean state is the Bell-diagonal state of the mean
 weights.  ``readouts`` gives the summary, histogram and mean state at
-once: the moments, a few whole-array einsums, run on the worker thread
-beside the histogram (``families.beside``).  ``log_likelihood`` is the
+once: the moments, a few whole-array einsums, run beside the histogram
+through ``families.beside``, on the worker thread for a test set of more
+than one block on two usable CPUs.  ``log_likelihood`` is the
 generic per-state version for any density matrix.
 
 Log-likelihoods drop the multinomial coefficient: it is constant across
@@ -294,19 +295,19 @@ def readouts(ts: TestSet, post: Posterior, n_bins: int):
     the weights' moments.
 
     The moments (the summary's five sums and the mean Bell weights, a few
-    long einsums that let go of the GIL) run on the worker thread of
-    ``families.in_parts`` (``families.beside``) while the calling thread
-    builds the histogram; with one usable CPU they run first, on the
-    calling thread.  The mean state's convexity bound is the summary's
-    ``neg_mean``, the same sum ``mean_state`` takes.  Errors are those of
-    the three readouts.
+    long einsums that let go of the GIL) are ``families.beside``'s job over
+    the test set's states, while the calling thread builds the histogram:
+    on the worker thread for more than ``families.BLOCK`` states on two
+    usable CPUs, else first, on the calling thread.  The mean state's
+    convexity bound is the summary's ``neg_mean``, the same sum
+    ``mean_state`` takes.  Errors are those of the three readouts.
     """
     w, moments = _readout_weights(ts, post.weights), []
 
     def job():
         moments.extend((_sums(ts, w), np.einsum("i,ij->j", w, ts.bell_weights)))
 
-    with families.beside(job):
+    with families.beside(ts.n_states, job):
         hist = histogram_negativity(ts, w, n_bins)
     sums, mean_weights = moments
     summary = _summary(sums)

@@ -28,7 +28,7 @@ B = families.BLOCK
 
 @pytest.fixture
 def set_cpus(monkeypatch):
-    """Set how many CPUs ``in_parts`` sees: one runs a pass on the calling
+    """Set how many CPUs the start rule sees: one runs a pass on the calling
     thread, two share its blocks with the worker."""
     def set_(k):
         monkeypatch.setattr(families, "_usable_cpus", lambda: k)
@@ -230,6 +230,23 @@ def test_a_whole_pass_starts_no_thread(monkeypatch, set_cpus, cpus, n):
     assert families._pool is None
 
 
+def test_a_one_block_readout_starts_no_thread(monkeypatch, set_cpus, tmp_path):
+    # The readouts' moments follow the split passes' start rule: no worker
+    # for a set of one block, here a whole one and a small CLI prior.
+    set_cpus(2)
+    monkeypatch.setattr(families, "_pool", None)
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
+    ts = families.simplex_prior_bell_diagonal(B, seed=1)
+    rec = measurement.simulate_record(families.reference_mixture("rho1"), 400, seed=3)
+    posterior.readouts(ts, posterior.update_posterior(ts, rec), 50)
+    measurement.save_record(rec, tmp_path / "rec.json")
+    assert cli.main(["characterize", "--record", str(tmp_path / "rec.json"), "--prior",
+                     "bell-diag", "--samples", "100", "--out", str(tmp_path / "bd.json")]) == 0
+    assert started == []
+    assert families._pool is None
+
+
 def test_usable_cpus_without_an_affinity_mask(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
@@ -289,6 +306,34 @@ def test_no_block_is_handed_out_after_a_failure(set_cpus):
     with pytest.raises(ConfigError):
         families.in_parts(8 * B, part, lambda m: None)
     assert ran == [0, 1]
+
+
+def test_an_interrupt_waits_for_the_workers_block_and_hands_out_no_other(set_cpus):
+    # The calling thread's part waits until the worker has started a block,
+    # which sleeps, then is interrupted.
+    set_cpus(2)
+    caller, started, ran, done = threading.get_ident(), threading.Event(), [], []
+
+    def part(sl, own):
+        ran.append(sl.start // B)
+        if threading.get_ident() == caller:
+            started.wait(60)
+            raise KeyboardInterrupt
+        started.set()
+        time.sleep(0.3)
+        done.append(sl.start // B)
+
+    with pytest.raises(KeyboardInterrupt):
+        families.in_parts(20 * B, part, lambda m: None)
+    # The worker's block had finished when the call raised, and no block
+    # after the two first ones started.
+    assert len(done) == 1 and sorted(ran) == [0, 1]
+    time.sleep(0.1)
+    assert sorted(ran) == [0, 1]
+    # The next split pass runs every block once.
+    calls = []
+    families.in_parts(20 * B, record_blocks(calls), lambda m: None)
+    assert sorted(sl.start for _, sl, _ in calls) == list(range(0, 20 * B, B))
 
 
 @pytest.mark.parametrize("bad", [np.nan, -1e-3], ids=["nan", "negative"])
@@ -354,18 +399,19 @@ def test_the_readouts_job_allocates_no_block_sized_array(set_cpus, monkeypatch):
     set_cpus(1)
     beside, peaks = families.beside, []
 
-    def traced(job):
+    def traced(n, job):
         def measured():
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             job()
             peaks.append(tracemalloc.get_traced_memory()[1] - before)
-        return beside(measured)
+        return beside(n, measured)
 
-    monkeypatch.setattr(families, "beside", traced)
     ts = families.simplex_prior_bell_diagonal(5 * B + 4096, seed=1)
     rec = measurement.simulate_record(families.reference_mixture("rho1"), 1000, seed=0)
     post = posterior.update_posterior(ts, rec)
+    # Patched after the split passes, which run their worker half through beside too.
+    monkeypatch.setattr(families, "beside", traced)
     tracemalloc.start()
     try:
         posterior.readouts(ts, post, 50)
@@ -386,12 +432,12 @@ def test_a_job_beside_runs_on_the_worker_and_its_exception_reaches_the_caller(se
         raise ConfigError("job")
 
     with pytest.raises(ConfigError, match="^job$"):
-        with families.beside(failing):
+        with families.beside(2 * B, failing):
             assert started.acquire(timeout=60)
     # The job's exception is raised in place of the body's, as on one CPU,
     # where the job runs first.
     with pytest.raises(ConfigError, match="^job$") as info:
-        with families.beside(failing):
+        with families.beside(2 * B, failing):
             assert started.acquire(timeout=60)
             raise ValueError("body")
     assert isinstance(info.value.__context__, ValueError)
@@ -401,7 +447,7 @@ def test_a_job_beside_runs_on_the_worker_and_its_exception_reaches_the_caller(se
     set_cpus(1)
     assert digest(families.simplex_prior_bell_diagonal(5 * B + 7, seed=3).bell_weights) == expected
     set_cpus(2)
-    with families.beside(lambda: (ran.append(threading.get_ident()), started.release())):
+    with families.beside(2 * B, lambda: (ran.append(threading.get_ident()), started.release())):
         assert started.acquire(timeout=60)
     assert len(ran) == 3 and ran[2] != caller
 
@@ -412,7 +458,7 @@ def test_a_job_the_busy_worker_never_started_runs_on_the_calling_thread(set_cpus
     release, ran = threading.Event(), []
     busy = families._pool.submit(release.wait, 60)
     try:
-        with families.beside(lambda: ran.append(threading.get_ident())):
+        with families.beside(2 * B, lambda: ran.append(threading.get_ident())):
             pass
         assert ran == [threading.get_ident()]
     finally:
@@ -430,7 +476,7 @@ def test_an_interrupt_waits_for_a_running_job_and_starts_none(set_cpus):
         done.append(True)
 
     with pytest.raises(KeyboardInterrupt):
-        with families.beside(job):
+        with families.beside(2 * B, job):
             assert started.wait(60)
             raise KeyboardInterrupt
     assert done == [True]
@@ -442,7 +488,7 @@ def test_an_interrupt_waits_for_a_running_job_and_starts_none(set_cpus):
         out = np.zeros(B)
         held = weakref.ref(out)
         with pytest.raises(KeyboardInterrupt):
-            with families.beside(lambda a=out: ran.append(a.sum())):
+            with families.beside(2 * B, lambda a=out: ran.append(a.sum())):
                 raise KeyboardInterrupt
         del out
         assert held() is None
