@@ -66,7 +66,7 @@ _PRIORS = {
 
 
 def _choose(table, option, args):
-    """The object that --option chose from table, and its flag values.
+    """The builder that --option chose from table, and its flag values.
 
     A required flag not given, and a flag given that belongs only to another
     choice, are both ConfigErrors; a flag not given takes its default.
@@ -82,7 +82,7 @@ def _choose(table, option, args):
         raise ConfigError(f"--{option} {choice} does not take " + " or ".join(foreign))
     values = {f: default if getattr(args, f) is None else getattr(args, f)
               for f, default in flags.items()}
-    return build(*values.values()), values
+    return build, values
 
 
 def _write_result(path, config, started, summary=None, histogram=None, comparison=None):
@@ -119,7 +119,8 @@ def _write_histogram(args, values, started, hist: posterior.Histogram, summary=N
 
 
 def cmd_simulate(args) -> int:
-    rho, values = _choose(_STATES, "state", args)
+    build, values = _choose(_STATES, "state", args)
+    rho = build(*values.values())
     label = " ".join([args.state] + [f"{f}={v}" for f, v in values.items()])
     rec = measurement.simulate_record(rho, args.shots, args.seed, label=label)
     measurement.save_record(rec, args.out)
@@ -132,9 +133,13 @@ def cmd_simulate(args) -> int:
 def cmd_characterize(args) -> int:
     started = time.monotonic()
     rec = measurement.load_record(args.record)
-    ts, values = _choose(_PRIORS, "prior", args)
-    post = posterior.update_posterior(ts, rec)
-    summary, hist, rho_bar = posterior.readouts(ts, post, args.bins)
+    build, values = _choose(_PRIORS, "prior", args)
+    if args.prior == "bell-diag":  # streamed: no test set is built
+        summary, hist, rho_bar = posterior.characterize_sampled(*values.values(), rec, args.bins)
+    else:
+        ts = build(*values.values())
+        summary, hist, rho_bar = posterior.readouts(ts, posterior.update_posterior(ts, rec),
+                                                    args.bins)
     mean = {"negativity": linalg.negativity(rho_bar), "purity": linalg.purity(rho_bar)}
     summary_doc = {**dataclasses.asdict(summary), "mean_state": mean}
     _write_histogram(args, values, started, hist, summary=summary_doc, record=str(args.record))
@@ -161,7 +166,8 @@ def cmd_compare(args) -> int:
 
 def cmd_prior_hist(args) -> int:
     started = time.monotonic()
-    ts, values = _choose(_PRIORS, "prior", args)
+    build, values = _choose(_PRIORS, "prior", args)
+    ts = build(*values.values())
     hist = posterior.histogram_negativity(ts, ts.prior_weights, args.bins)
     _write_histogram(args, values, started, hist)
     print(f"separable_mass = {hist.separable_mass:.4f} over {ts.n_states} states")

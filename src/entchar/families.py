@@ -43,31 +43,46 @@ update, works in place on the kernel's output and holds its keep mask,
 same operations in the same order, so the values equal the one-shot
 formulas bit for bit.
 
+Block steps: the sort network (``simplex_spacings``), the Bell check and
+scalars (``bell_scalars``), the label arithmetic (``negativity_labels``)
+and the posterior module's kernel are each written once, as a function
+that the calling thread makes once per pass and the pass's parts call.
+The materialized path (the builders, ``TestSet`` and the posterior
+module's update and readouts) runs them in separate passes over n-sized
+arrays; ``posterior.characterize_sampled`` runs them fused, block by
+block in one thread's scratch, for the CLI's one-shot bell-diag
+``characterize``, and keeps only each state's negativity and weight.
+
 The elementwise passes among them (the simplex builder, the ``TestSet``
-check and scalars, the kernel and the update) run in ``in_parts``: the
-calling thread and one worker thread take the blocks one at a time from a
-shared hand-out, while numpy's loops and the generator let go of the GIL.
-``beside`` is the one way onto the worker, under one start rule for every
-pass and readout.  Each block's temporaries go into scratch that the
-calling thread made for the thread that runs it, so the worker allocates
-no block-sized array, and the malloc arena glibc gives it keeps nothing
-of that size.  Each block writes its own slices, so the
-split moves no bit.  Each reduction is made by one thread in one order,
-whole-array (the maximum, the entangled probability, the posterior
-moments and mean Bell weights) or in block order (the histogram's masses,
-which differ from a whole-array sum only in rounding), because split
-sums would add in another order.  The maximum and the masses stay on the
-calling thread; ``posterior.readouts`` runs the moments, a few long
-einsums, through ``beside`` while the calling thread builds the
-histogram, as a pass of many short numpy calls gains little from a
-second thread.  ``TestSet.equal_columns``, which stops at the first
-mismatch, stays on the calling thread too, and so does the label build
-of ``negativity_bins``, in whole blocks: its numpy calls take a few
-microseconds each.  It writes every step into scratch with float
-ufuncs, and takes each edge as the bin index times the bin width, which
-is how ``np.linspace`` makes the edges, instead of gathering it from
-them.  At 10^6 states and 50 bins it takes 6.0-6.2 ms, against 6.5-6.9
-ms with gathers and boolean-index corrections (medians of 30 calls).
+check and scalars, the kernel, the update and the first streamed pass)
+run in ``in_parts``: the calling thread and one worker thread take the
+blocks one at a time from a shared hand-out, while numpy's loops and the
+generator let go of the GIL.  ``beside`` is the one way onto the worker,
+under one start rule for every pass and readout.  Each block's
+temporaries go into scratch that the calling thread made for the thread
+that runs it, so the worker allocates no block-sized array, and the
+malloc arena glibc gives it keeps nothing of that size.  Each block
+writes its own slices, so the split moves no bit.  Each reduction is made
+by one thread in one order, whole-array (the maximum, the entangled
+probability, the posterior moments and mean Bell weights), per block
+into the block's own row of sums, which the calling thread then adds in
+block order (the streamed pass), or in block order (the histogram's
+masses, which differ from a whole-array sum only in rounding), because
+split sums would add in another order.  The maximum, the rows' combine
+and the masses stay on the calling thread; ``posterior.readouts`` runs
+the moments, a few long einsums, through ``beside`` while the calling
+thread builds the histogram, as a pass of many short numpy calls gains
+little from a second thread.  ``TestSet.equal_columns``, which stops at
+the first mismatch, stays on the calling thread too, and so does the
+label build of ``negativity_bins`` and of the second streamed pass, in
+whole blocks: its numpy calls take
+a few microseconds each.  The label step writes every flag into float
+scratch, takes each edge as the bin index times the bin width, which is
+how ``np.linspace`` makes the edges, instead of gathering it from them,
+and runs numpy's one-bin corrections only in a block that has a state to
+correct.  At 10^6 sampled states and 50 bins ``negativity_bins`` takes
+6.0 ms, against 8.0 ms with a bool operand in every correction (medians
+of 30 calls, 2-vCPU Xeon).
 """
 
 import contextlib
@@ -148,6 +163,12 @@ def in_parts(n: int, part, scratch) -> None:
     disjoint slices of its outputs, reduce nothing across blocks and call
     no public function of entchar: the calling thread builds the slices, so
     a tracer that wraps the public functions sees every call on one thread.
+
+    Result-row rule: a part may reduce within its block into that block's
+    own row of a (number of blocks, width) output, at ``sl.start //
+    BLOCK``, as ``posterior.characterize_sampled``'s first pass writes its
+    sums.  The calling thread combines the rows in block order after the
+    pass, so each sum is made in one order, however the blocks were split.
     """
     owns = [scratch(min(n, BLOCK)) for _ in range(1 + _split(n))]
     hand_out, lock, failed = enumerate(blocks(n)), threading.Lock(), {}
@@ -408,24 +429,15 @@ class TestSet:
             raise ConfigError(f"Bell weights must be an (n >= 1, 4) array, got shape {weights.shape}")
         n = len(weights)
         negativities, purities, entangled = np.empty(n), np.empty(n), np.empty(n, bool)
+        scalars = bell_scalars()
 
         def derive(sl, own):
-            w, (a, b) = weights[sl], own[:, : sl.stop - sl.start]
-            _check_simplex(w, (len(w), 4), "Bell weights", sums=a)
-            np.maximum(w[:, 0], w[:, 1], out=a)
-            np.maximum(a, np.maximum(w[:, 2], w[:, 3], out=b), out=a)
-            a -= 0.5
-            np.maximum(0.0, a, out=a)
-            np.multiply(2.0, a, out=negativities[sl])
-            np.square(w[:, 0], out=a)
-            a += np.square(w[:, 1], out=b)
-            a += np.square(w[:, 2], out=b)
-            np.add(a, np.square(w[:, 3], out=b), out=purities[sl])
-            np.greater(negativities[sl], NEGATIVITY_FLOOR, out=entangled[sl])
+            a, b = own[:, : sl.stop - sl.start]
+            scalars(weights[sl], a, b, negativities[sl], purities[sl], entangled[sl])
 
         in_parts(n, derive, lambda m: np.empty((2, m)))
-        for scalars in (negativities, purities, entangled):
-            scalars.flags.writeable = False
+        for derived in (negativities, purities, entangled):
+            derived.flags.writeable = False
         self.negativities, self.purities, self.entangled = negativities, purities, entangled
         if self.prior_weights is None:
             self.prior_weights = np.broadcast_to(1.0 / n, (n,))
@@ -456,33 +468,13 @@ class TestSet:
         none is positive.  Cached for the last ``n_bins``."""
         n_bins, cache = check_int(n_bins, "bin count", 1, MAX_COUNT), self._bins
         if not cache or cache[0] != n_bins:
-            neg, last = self.negativities, n_bins - 1
-            top = float(neg.max()) or 1.0
-            edges = np.histogram_bin_edges(neg, n_bins, range=(0.0, top))
+            edges, label = negativity_labels(self.negativities.max(), n_bins)
             labels = np.empty(self.n_states, np.min_scalar_type(n_bins))
-            # Edge k below the last is float(k) * step, as np.linspace makes
-            # it, so each block's edges are computed from its float bin
-            # indices, not gathered; the bins are exact integers in float64.
-            step, m = top / n_bins, min(self.n_states, BLOCK)
+            m = min(self.n_states, BLOCK)
             i_buf, e_buf, c_buf = np.empty(m), np.empty(m), np.empty(m, bool)
             for sl in blocks(self.n_states):  # on the calling thread (the module's block rule)
-                x, k = neg[sl], sl.stop - sl.start
-                i, e, c = i_buf[:k], e_buf[:k], c_buf[:k]
-                # numpy's uniform-bin path: scale, then correct by one bin where
-                # rounding crossed an edge; the last bin is closed.
-                np.divide(x, top, out=i)
-                i *= n_bins
-                np.minimum(i, last, out=i)
-                np.trunc(i, out=i)
-                np.less(x, np.multiply(i, step, out=e), out=c)
-                i -= c
-                np.add(i, 1.0, out=e)
-                e *= step
-                i += np.greater_equal(x, e, out=c)
-                np.minimum(i, last, out=i)  # no step up out of the last bin
-                i += 1.0
-                i *= self.entangled[sl]
-                labels[sl] = i
+                k = sl.stop - sl.start
+                label(self.negativities[sl], labels[sl], i_buf[:k], e_buf[:k], c_buf[:k])
             cache = self._bins = n_bins, edges, labels
         return cache[1:]
 
@@ -517,20 +509,49 @@ def simplex_prior_bell_diagonal(n: int, seed: int) -> TestSet:
     and ``np.diff``.
     """
     n = check_int(n, "sample count", 1, MAX_COUNT)
-    seed = check_int(seed, "seed", 0)
-    w = np.empty((4, n))
-
-    def scratch(m):  # each thread's generator, uniforms, and the state it draws next
-        return [np.random.default_rng(seed), np.empty((m, 3)), 0]
+    w, (generator, spacings) = np.empty((4, n)), simplex_spacings(seed)
 
     def draw(sl, own):
-        rng, u, at = own
+        gen, u = own
+        spacings(sl, gen, u[: sl.stop - sl.start], w[:, sl])
+
+    in_parts(n, draw, lambda m: (generator(), np.empty((m, 3))))
+    return TestSet(w.T)
+
+
+# --- block steps ---------------------------------------------------------------
+# Each returns the function that the parts of a blocked pass call: made once
+# per pass on the calling thread, it calls no public function and writes
+# every temporary into the scratch it is given.  The materialized path above
+# and ``posterior.characterize_sampled`` share them, so each step has one
+# definition.
+
+def simplex_spacings(seed: int):
+    """The simplex builder's block step for ``seed``: ``(generator,
+    spacings)``.  ConfigError unless ``seed`` is an integer >= 0.
+
+    ``generator()`` makes one thread's generator state: its PCG64
+    generator and the state it draws next.  ``spacings(sl, gen, u, out)``
+    moves ``gen``'s stream ahead past the three uniforms of every state
+    before ``sl``, draws the block's (k, 3) uniforms into ``u``, sorts each
+    row by a min/max compare-exchange network on its columns and writes the
+    four spacings into the rows of ``out``, (4, k).  So block by block the
+    rows equal a row-wise ``np.sort`` and ``np.diff`` of one
+    ``rng.random((n, 3))``, whichever thread draws which block.
+    """
+    seed = check_int(seed, "seed", 0)
+
+    def generator():
+        return [np.random.default_rng(seed), 0]
+
+    def spacings(sl, gen, u, out):
+        rng, at = gen
         # PCG64 jumps ahead past the three uniforms of every state before the block.
         rng.bit_generator.advance(3 * (sl.start - at))
-        own[2] = sl.stop
-        u0, u1, u2 = rng.random(out=u[: sl.stop - sl.start]).T
-        a, b, c, d = w[:, sl]
-        # Compare-exchange (0, 1), (1, 2), (0, 1), in the rows of w: a <= c <= d.
+        gen[1] = sl.stop
+        u0, u1, u2 = rng.random(out=u).T
+        a, b, c, d = out
+        # Compare-exchange (0, 1), (1, 2), (0, 1), in the rows of out: a <= c <= d.
         np.minimum(u0, u1, out=a)
         np.maximum(u0, u1, out=b)
         np.maximum(b, u2, out=d)
@@ -541,6 +562,81 @@ def simplex_prior_bell_diagonal(n: int, seed: int) -> TestSet:
         np.subtract(d, c, out=c)
         np.subtract(1.0, d, out=d)
 
-    in_parts(n, draw, scratch)
-    return TestSet(w.T)
+    return generator, spacings
 
+
+def bell_scalars():
+    """The ``TestSet`` check and scalars as a block step: ``scalars(w, a, b,
+    neg, pur, ent)``.
+
+    ``w`` is a block's (k, 4) Bell weights; ``a`` and ``b`` are two float
+    k-vectors of scratch.  Raises ConfigError unless every row is
+    non-negative and sums to 1 within 1e-12, then writes each state's
+    negativity 2 max(0, max_i w_i - 1/2), purity sum_i w_i^2 and entangled
+    flag (negativity above ``linalg.NEGATIVITY_FLOOR``) into ``neg``,
+    ``pur`` and the bool vector ``ent``.
+    """
+    def scalars(w, a, b, neg, pur, ent):
+        _check_simplex(w, (len(w), 4), "Bell weights", sums=a)
+        np.maximum(w[:, 0], w[:, 1], out=a)
+        np.maximum(a, np.maximum(w[:, 2], w[:, 3], out=b), out=a)
+        a -= 0.5
+        np.maximum(0.0, a, out=a)
+        np.multiply(2.0, a, out=neg)
+        np.square(w[:, 0], out=a)
+        a += np.square(w[:, 1], out=b)
+        a += np.square(w[:, 2], out=b)
+        np.add(a, np.square(w[:, 3], out=b), out=pur)
+        np.greater(neg, NEGATIVITY_FLOOR, out=ent)
+
+    return scalars
+
+
+def negativity_labels(largest: float, n_bins: int):
+    """Histogram edges and the label arithmetic as a block step: ``(edges,
+    label)`` for ``n_bins`` equal bins over [0, top], top the largest
+    negativity, or 1 if it is not positive.
+
+    ``label(x, out, i, e, c)`` writes into ``out`` one label per negativity
+    of ``x``: 0 where it is not above ``linalg.NEGATIVITY_FLOOR``, else 1 +
+    its bin as ``np.histogram`` assigns it.  ``i`` and ``e`` are float and
+    ``c`` bool scratch of ``x``'s length; ``out`` may share ``x``'s memory,
+    which is read before ``out`` is written.  ``n_bins`` must be an integer
+    in [1, ``MAX_COUNT``], else ConfigError.
+    """
+    n_bins = check_int(n_bins, "bin count", 1, MAX_COUNT)
+    top, last = float(largest) or 1.0, n_bins - 1
+    edges = np.histogram_bin_edges(np.empty(0), n_bins, range=(0.0, top))
+    # Edge k below the last is float(k) * step, as np.linspace makes it, so
+    # each block's edges are computed from its float bin indices, not
+    # gathered; the bins are exact integers in float64.  Every flag goes
+    # through float scratch (np.copyto), as a bool operand of a float ufunc
+    # is cast through a 64 KiB buffer.
+    step = top / n_bins
+
+    def label(x, out, i, e, c):
+        # numpy's uniform-bin path: scale, then correct by one bin where
+        # rounding crossed an edge; the last bin is closed.  Few blocks
+        # hold such a state, so the corrections run only where one does.
+        np.divide(x, top, out=i)
+        i *= n_bins
+        np.minimum(i, last, out=i)
+        np.trunc(i, out=i)
+        np.less(x, np.multiply(i, step, out=e), out=c)
+        if c.any():
+            np.copyto(e, c)
+            i -= e
+        np.add(i, 1.0, out=e)
+        e *= step
+        np.greater_equal(x, e, out=c)
+        if c.any():
+            np.copyto(e, c)
+            i += e
+            np.minimum(i, last, out=i)  # no step up out of the last bin
+        i += 1.0
+        np.greater(x, NEGATIVITY_FLOOR, out=c)  # the entangled flag
+        np.copyto(e, c)
+        i *= e
+        np.copyto(out, i, casting="unsafe")
+
+    return edges, label

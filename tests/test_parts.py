@@ -365,8 +365,10 @@ def test_parts_allocate_no_block_sized_array(set_cpus, monkeypatch):
     # Each block's temporaries go into its thread's scratch, so a part
     # allocates less than a bool vector of its shortest block: the last
     # block of every pass holds 4096 states, fewer than numpy's 8192-element
-    # buffer, below which it copies a strided operand whole.  Run on one
-    # thread, so the traced peak of a part call is its own.
+    # buffer, below which it copies a strided operand whole.  The passes
+    # are the materialized path's four and the streamed characterize's
+    # first, which fuses the four per block.
+    # Run on one thread, so the traced peak of a part call is its own.
     set_cpus(1)
     in_parts, peaks = families.in_parts, {}
 
@@ -386,10 +388,37 @@ def test_parts_allocate_no_block_sized_array(set_cpus, monkeypatch):
         rec = measurement.simulate_record(families.reference_mixture("rho1"), 1000, seed=0)
         post = posterior.update_posterior(ts, rec)
         posterior.histogram_negativity(ts, post.weights, 50)
+        posterior.characterize_sampled(5 * B + 4096, 1, rec, 50)
     finally:
         tracemalloc.stop()
-    assert set(peaks) == {"draw", "derive", "add_terms", "weigh"}
+    assert set(peaks) == {"draw", "derive", "add_terms", "weigh", "score"}
     assert max(peaks.values()) < 4096, peaks
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_streamed_characterize_holds_16_bytes_a_state_and_its_scratch(set_cpus, cpus):
+    # The bound, fixed in advance: 16 B per state for the kept negativities
+    # and weights, plus 96 B per block state of scratch for each thread.
+    # The materialized path's Bell weights alone hold 32 B per state.
+    set_cpus(cpus)
+    n = 40 * B
+    bound = 16 * n + cpus * 96 * B
+    rec = measurement.simulate_record(families.reference_mixture("rho1"), 1000, seed=0)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for characterize in (
+                lambda: posterior.characterize_sampled(n, 1, rec, 50),
+                lambda: posterior.readouts(ts := families.simplex_prior_bell_diagonal(n, 1),
+                                           posterior.update_posterior(ts, rec), 50)):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            characterize()
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    streamed, materialized = peaks
+    assert streamed < bound < materialized, (streamed, bound, materialized)
 
 
 def test_the_readouts_job_allocates_no_block_sized_array(set_cpus, monkeypatch):
@@ -555,8 +584,11 @@ def test_every_public_call_is_on_the_calling_thread(set_cpus, monkeypatch):
     post = posterior.update_posterior(ts, rec)
     posterior.histogram_negativity(ts, post.weights, 20)
     posterior.readouts(ts, post, 30)
+    posterior.characterize_sampled(5 * B + 7, 3, rec, 30)
     assert {name for name, _ in threads} >= {"blocks", "in_parts", "log_likelihood_vector",
-                                              "beside", "readouts", "bell_diagonal_state"}
+                                              "beside", "readouts", "bell_diagonal_state",
+                                              "characterize_sampled", "simplex_spacings",
+                                              "bell_scalars", "negativity_labels"}
     assert {ident for _, ident in threads} == {threading.get_ident()}
 
 

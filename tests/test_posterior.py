@@ -615,3 +615,71 @@ class TestAllocationPeak:
         assert held - before <= self.N + 4096
         # Beyond them, one block of the label build or of the bincount.
         assert peak - before <= self.N + self.READOUT_SCRATCH
+
+
+#: The agreement test's records: each source at each shot count, seed 7.
+STREAMED_SOURCES = {"tp(0.4,0.4)": lambda: families.two_param_state(0.4, 0.4),
+                    "rho1": lambda: families.reference_mixture("rho1"),
+                    "rho2": lambda: families.reference_mixture("rho2"),
+                    "rho_k(0.7)": lambda: families.rho_k_state(0.7)}
+
+
+class TestCharacterizeSampled:
+    """The streamed readouts of the sampled prior against ``update_posterior``
+    and ``readouts`` on the same draws: their sums add in another order, so
+    they agree within 1e-12 (2.6e-13 at most over these records at 10^6),
+    with equal bin edges."""
+
+    @staticmethod
+    def assert_agree(got, expected):
+        (s, hist, rho), (s_ref, hist_ref, rho_ref) = got, expected
+        for field in dataclasses.fields(s):
+            assert abs(getattr(s, field.name) - getattr(s_ref, field.name)) <= 1e-12, field.name
+        assert hist.bin_edges.tobytes() == hist_ref.bin_edges.tobytes()
+        np.testing.assert_allclose(hist.bin_mass, hist_ref.bin_mass, rtol=0, atol=1e-12)
+        assert abs(hist.separable_mass - hist_ref.separable_mass) <= 1e-12
+        np.testing.assert_allclose(rho, rho_ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n, n_bins", [(5 * families.BLOCK + 7, 50),
+                                           (5 * families.BLOCK + 7, 300), (10**6, 50)])
+    def test_agrees_with_the_materialized_path(self, n, n_bins):
+        ts = families.simplex_prior_bell_diagonal(n, seed=1)
+        for source in STREAMED_SOURCES.values():
+            for shots in (400, 1000, 10_000):
+                rec = measurement.simulate_record(source(), shots, seed=7)
+                expected = posterior.readouts(ts, posterior.update_posterior(ts, rec), n_bins)
+                self.assert_agree(posterior.characterize_sampled(n, 1, rec, n_bins), expected)
+
+    @staticmethod
+    def pure_first_block(monkeypatch):
+        """Make the sampled states of the first block |Phi_1><Phi_1|."""
+        make = families.simplex_spacings
+
+        def patched(seed):
+            generator, spacings = make(seed)
+
+            def pure_first(sl, gen, u, out):
+                spacings(sl, gen, u, out)
+                if sl.start == 0:
+                    out[0], out[1:] = 1.0, 0.0
+            return generator, pure_first
+
+        monkeypatch.setattr(families, "simplex_spacings", patched)
+
+    def test_a_block_of_impossible_states_gets_no_weight(self, monkeypatch):
+        # |Phi_1> never gives XX different outcomes, which rho1 does, so the
+        # first block's log-likelihoods are all -inf.
+        self.pure_first_block(monkeypatch)
+        n = 3 * families.BLOCK
+        ts = families.simplex_prior_bell_diagonal(n, seed=2)
+        rec = measurement.simulate_record(families.reference_mixture("rho1"), 1000, seed=7)
+        post = posterior.update_posterior(ts, rec)
+        assert not post.weights[: families.BLOCK].any()
+        self.assert_agree(posterior.characterize_sampled(n, 2, rec, 50),
+                          posterior.readouts(ts, post, 50))
+
+    def test_no_possible_state_is_a_data_error(self, monkeypatch):
+        self.pure_first_block(monkeypatch)
+        rec = measurement.simulate_record(families.reference_mixture("rho1"), 1000, seed=7)
+        with pytest.raises(DataError, match="zero probability"):
+            posterior.characterize_sampled(100, 2, rec, 50)
